@@ -7,7 +7,8 @@ Subcommands:
     metrics <file>                  metrics of a serialized density matrix
 
 Exit codes: 0 success, 2 parse/config error, 3 validation or degenerate
-input, 4 optimizer non-convergence.
+input, 4 optimizer non-convergence. tomo reports every failing file and
+exits with the largest code among them.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import sys
 
 from . import pipeline
 from .errors import (
+    BiphotonError,
     ConfigError,
     ConvergenceError,
     DegenerateInputError,
@@ -26,6 +28,21 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NONCONVERGED = 4
+
+# (error classes, exit code, message prefix)
+_ERROR_EXITS = (
+    ((ParseError, ConfigError), EXIT_PARSE, "parse error"),
+    ((ValidationError, DegenerateInputError), EXIT_VALIDATION, "validation error"),
+    ((ConvergenceError,), EXIT_NONCONVERGED, "optimizer did not converge"),
+)
+
+
+def _classify(exc):
+    """(exit code, message prefix) of a package error."""
+    for types, code, prefix in _ERROR_EXITS:
+        if isinstance(exc, types):
+            return code, prefix
+    raise exc
 
 
 def _build_parser():
@@ -69,9 +86,12 @@ def main(argv=None):
             records, errors = pipeline.run_tomo(args.files, args.out)
             for rec in records:
                 print(f"{rec.label}: {pipeline.format_metrics(rec.metrics)}")
-            for fname, msg in errors:
-                print(f"error: {fname}: {msg}", file=sys.stderr)
-            return EXIT_PARSE if errors else EXIT_OK
+            codes = [EXIT_OK]
+            for fname, exc in errors:
+                code, prefix = _classify(exc)
+                codes.append(code)
+                print(f"{prefix}: {fname}: {exc}", file=sys.stderr)
+            return max(codes)
         if args.command == "simulate":
             cfg = pipeline.load_config(args.config, _overrides(args))
             for path in pipeline.run_simulate(cfg, args.out):
@@ -85,15 +105,10 @@ def main(argv=None):
         if args.command == "metrics":
             print(pipeline.format_metrics(pipeline.run_metrics(args.file)))
             return EXIT_OK
-    except (ParseError, ConfigError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValidationError, DegenerateInputError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConvergenceError as exc:
-        print(f"optimizer did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
+    except BiphotonError as exc:
+        code, prefix = _classify(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     raise AssertionError("unreachable")
 
 

@@ -17,25 +17,40 @@ class probabilities reduce to
     g(x) = 1 - 2 c**x + beta**x       (HV)
     h(x) = (1 - c**x)**2              (HR)
 
-and the window-split refinement with k simultaneous pairs, m lone photons
-in arm 2 and a = x-k-m lone photons in arm 1 reduces to
+Averaging over the window split (k simultaneous pairs, m lone photons in
+arm 2, x-k-m in arm 1) turns each power into a per-pair factor, so every
+class probability keeps the form 1 - 2 z1**x + z2**x with
 
-    f(x,k,m) = 1 - c**(k+a) - c**(k+m) + d**k * c**(a+m)
-    g(x,k,m) = 1 - c**(k+a) - c**(k+m) + beta**k * c**(a+m)
-    h(x,k,m) = (1 - c**(k+a)) * (1 - c**(k+m))
+    z1 = ((1+eta)/2) c + (1-eta)/2
+    z2 = eta X + (1-eta) c,    X = d (HH), beta (HV), c**2 (HR)
 
-Each closed form is the expectation E[(1 - beta**n1)(1 - beta**n2)] over
-binomial polarization splits; the test suite checks them term by term
-against the raw binomial sums and against a Monte Carlo simulation of the
-detector model. Note the single-bracket exponent {1 - (1-alpha)**j} in the
-HR sums: collapsing it to alpha**j would contradict the small-mu asymptote
+and eta = 1 gives back f, g, h. Averaged over x ~ Poisson(mu), z**x becomes
+the generating function exp(-mu (1-z)), so with w = 1-z each rate is exactly
+
+    R = 1 - 2 exp(-mu w1) + exp(-mu w2)
+
+with no truncation of the pair-number series. At low power R is about
+alpha**2 mu, a small difference of terms near 1. The gap s = 2 w1 - w2 is
+eta alpha**2/2 (HH), 0 (HV) or eta alpha**2/4 (HR), so the same rate reads
+
+    R = (1 - exp(-mu w1))**2 + exp(-2 mu w1) (exp(mu s) - 1),
+
+a sum of two non-negative terms. The code evaluates it through expm1 with
+w1 and s formed from alpha directly, so no power loses digits to
+cancellation. In the crossed class s = 0: each pair can reach at most one
+of the two crossed detectors, and R_HV is the product of the arms' single
+rates.
+
+The test suite checks the per-x forms against the raw binomial and
+multinomial sums and against exhaustive enumeration of the detector model,
+and the rates against a literal Poisson-weighted series and a Monte Carlo
+simulation. Note the single-bracket exponent {1 - (1-alpha)**j} in the HR
+sums: collapsing it to alpha**j would contradict the small-mu asymptote
 alpha^2 (mu/4 + mu^2/4) and the Monte Carlo model.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,10 +60,6 @@ from . import states, tomography
 CLASSES = ("HH", "HV", "HR")
 
 
-class TruncationWarning(UserWarning):
-    """The pair-number series was truncated too early for the given mu."""
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Source and detection parameters for the coincidence model."""
@@ -56,7 +67,6 @@ class SourceParams:
     mu: float
     alpha: float
     eta: float = 1.0
-    n_max: int = 15
 
     def __post_init__(self):
         if self.mu < 0:
@@ -65,12 +75,6 @@ class SourceParams:
             raise ValueError(f"alpha={self.alpha} must be in (0, 1]")
         if not 0 <= self.eta <= 1:
             raise ValueError(f"eta={self.eta} must be in [0, 1]")
-        if self.n_max < 1:
-            raise ValueError(f"n_max={self.n_max} must be >= 1")
-
-    @property
-    def truncation_adequate(self):
-        return self.n_max >= math.ceil(self.mu + 6 * math.sqrt(self.mu))
 
 
 @dataclass(frozen=True)
@@ -103,105 +107,49 @@ class PowerCalibration:
             raise ValueError("pairs_per_power must be positive")
 
 
-def poisson_pmf(x, mu):
-    """P(X = x) for X ~ Poisson(mu); log-space for large x."""
-    if x < 0 or x != int(x):
-        raise ValueError(f"x={x} must be a non-negative integer")
-    x = int(x)
-    if mu < 0:
-        raise ValueError(f"mu={mu} must be >= 0")
-    if mu == 0:
-        return 1.0 if x == 0 else 0.0
-    if x <= 20:
-        return math.exp(-mu) * mu**x / math.factorial(x)
-    return math.exp(x * math.log(mu) - mu - math.lgamma(x + 1))
-
-
-@lru_cache(maxsize=None)
-def class_prob_unprimed(x, alpha, cls):
-    """Coincidence probability of class cls given x pairs in the window."""
-    if cls not in CLASSES:
+def _pair_factors(alpha, eta, cls):
+    """(w1, s) of class cls: w1 = 1 - z1 and the gap s = 2 w1 - w2 >= 0,
+    where w2 = 1 - z2. Both are formed from alpha directly."""
+    one_minus_c = alpha / 2
+    gap = {"HH": alpha * alpha / 2, "HV": 0.0, "HR": one_minus_c * one_minus_c}
+    if cls not in gap:
         raise ValueError(f"unknown projection class {cls!r}")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    beta = 1 - alpha
-    c = (1 + beta) / 2
-    if cls == "HH":
-        d = (1 + beta * beta) / 2
-        return 1 - 2 * c**x + d**x
-    if cls == "HV":
-        return 1 - 2 * c**x + beta**x
-    return (1 - c**x) ** 2
+    return (1 + eta) / 2 * one_minus_c, eta * gap[cls]
 
 
-def pair_split_weight(x, k, m, eta):
-    """Multinomial probability that of x pairs, k are simultaneous and the
-    rest contribute lone photons: m to arm 2, x-k-m to arm 1."""
-    if not (0 <= k <= x and 0 <= m <= x - k):
-        raise ValueError(f"invalid split (x={x}, k={k}, m={m})")
-    a = x - k - m
-    return (
-        eta**k
-        * ((1 - eta) / 2) ** (x - k)
-        * math.factorial(x)
-        / (math.factorial(k) * math.factorial(a) * math.factorial(m))
-    )
+def _power_minus_one(w, x):
+    """(1 - w)**x - 1 without cancellation for small w; 0**0 = 1."""
+    if w >= 1:
+        return -1.0 if x else 0.0
+    return math.expm1(x * math.log1p(-w))
 
 
-@lru_cache(maxsize=None)
-def _kernel(x, k, m, alpha, cls):
-    beta = 1 - alpha
-    c = (1 + beta) / 2
-    a = x - k - m
-    if cls == "HR":
-        return (1 - c ** (k + a)) * (1 - c ** (k + m))
-    tail = (beta if cls == "HV" else (1 + beta * beta) / 2) ** k * c ** (a + m)
-    return 1 - c ** (k + a) - c ** (k + m) + tail
-
-
-@lru_cache(maxsize=None)
 def class_prob_primed(x, alpha, eta, cls):
     """Class probability for x generated pairs with window-split efficiency eta."""
-    if cls not in CLASSES:
-        raise ValueError(f"unknown projection class {cls!r}")
     if x < 0:
         raise ValueError("x must be >= 0")
-    total = 0.0
-    for k in range(x + 1):
-        for m in range(x - k + 1):
-            total += pair_split_weight(x, k, m, eta) * _kernel(x, k, m, alpha, cls)
-    return total
+    w1, gap = _pair_factors(alpha, eta, cls)
+    return -2 * _power_minus_one(w1, x) + _power_minus_one(2 * w1 - gap, x)
 
 
-def _check_truncation(p):
-    if not p.truncation_adequate:
-        warnings.warn(
-            f"n_max={p.n_max} may truncate the pair-number series for mu={p.mu}",
-            TruncationWarning,
-            stacklevel=3,
-        )
-
-
-def rates_unprimed(p):
-    """Poisson-averaged class probabilities, ignoring eta (full-window limit)."""
-    _check_truncation(p)
-    pmf = [poisson_pmf(x, p.mu) for x in range(p.n_max + 1)]
-    vals = [
-        sum(w * class_prob_unprimed(x, p.alpha, cls) for x, w in enumerate(pmf))
-        for cls in CLASSES
-    ]
-    return RateTriple(*vals)
+def class_prob_unprimed(x, alpha, cls):
+    """Coincidence probability of class cls given x pairs in the window."""
+    return class_prob_primed(x, alpha, 1.0, cls)
 
 
 def rates_primed(p):
     """Poisson-averaged class probabilities including the window split eta."""
-    _check_truncation(p)
-    pmf = [poisson_pmf(x, p.mu) for x in range(p.n_max + 1)]
-    vals = [
-        sum(w * class_prob_primed(x, p.alpha, p.eta, cls) for x, w in enumerate(pmf))
-        for cls in CLASSES
-    ]
+    vals = []
+    for cls in CLASSES:
+        w1, gap = _pair_factors(p.alpha, p.eta, cls)
+        e1 = math.expm1(-p.mu * w1)
+        vals.append(e1 * e1 + (1 + e1) ** 2 * math.expm1(p.mu * gap))
     return RateTriple(*vals)
+
+
+def rates_unprimed(p):
+    """Poisson-averaged class probabilities, ignoring eta (full-window limit)."""
+    return rates_primed(replace(p, eta=1.0))
 
 
 def effective_g(rates):

@@ -3,6 +3,7 @@ power sweeps, and figure-ready tables.
 
 Config files are flat "key=value" text with dotted section prefixes
 (source.alpha, sweep.power_grid, ...). CLI flags override config keys.
+Keys no subcommand reads are ignored, apart from entering the config hash.
 All emitted tables are comma-delimited with '#' provenance comments
 carrying the config hash, seed and package version.
 """
@@ -14,8 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import states, tomography
-from .errors import ConfigError, DegenerateInputError, ParseError, ValidationError
+from . import __version__, states, tomography
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DegenerateInputError,
+    ParseError,
+    ValidationError,
+)
 from .multipair import (
     PowerCalibration,
     SourceParams,
@@ -25,13 +32,10 @@ from .multipair import (
     rates_primed,
 )
 
-__version__ = "0.1.0"
-
 DEFAULTS = {
     "seed": "0",
     "source.alpha": "0.01",
     "source.eta": "0.03",
-    "source.n_max": "15",
     "calibration.pairs_per_power": "0.01",
     "calibration.power_unit": "uW",
     "simulate.scale": "1e6",
@@ -69,13 +73,14 @@ class RunConfig:
 
     seed: int = 0
     source: SourceParams = field(
-        default_factory=lambda: SourceParams(mu=0.0, alpha=0.01, eta=0.03, n_max=15)
+        default_factory=lambda: SourceParams(mu=0.0, alpha=0.01, eta=0.03)
     )
     calibration: PowerCalibration = field(
         default_factory=lambda: PowerCalibration(pairs_per_power=0.01)
     )
     eta_list: list = field(default_factory=list)
-    power_grid: list = field(default_factory=list)
+    sweep_grid: list = field(default_factory=list)
+    simulate_grid: list = field(default_factory=list)
     scale: float = 1e6
     raw: dict = field(default_factory=dict)
 
@@ -96,7 +101,6 @@ def build_config(keys, overrides=None):
             mu=0.0,
             alpha=float(merged["source.alpha"]),
             eta=float(merged["source.eta"]),
-            n_max=int(merged["source.n_max"]),
         )
         cal = PowerCalibration(
             pairs_per_power=float(merged["calibration.pairs_per_power"]),
@@ -114,10 +118,10 @@ def build_config(keys, overrides=None):
     if "sweep.eta_list" in merged:
         cfg.eta_list = _float_list(merged["sweep.eta_list"], "sweep.eta_list")
     if "sweep.power_grid" in merged:
-        cfg.power_grid = _float_list(merged["sweep.power_grid"], "sweep.power_grid")
+        cfg.sweep_grid = _float_list(merged["sweep.power_grid"], "sweep.power_grid")
     if "simulate.power_grid" in merged:
-        cfg.power_grid = _float_list(merged["simulate.power_grid"], "simulate.power_grid")
-    if any(p <= 0 for p in cfg.power_grid):
+        cfg.simulate_grid = _float_list(merged["simulate.power_grid"], "simulate.power_grid")
+    if any(p <= 0 for p in cfg.sweep_grid + cfg.simulate_grid):
         raise ConfigError("power grid values must be positive")
     return cfg
 
@@ -215,7 +219,8 @@ def write_report(record, path):
 def run_tomo(files, out_dir, cfg=None):
     """Reconstruct every count file; failures are collected, not fatal.
 
-    Returns (records sorted by label, list of (filename, message) errors).
+    Returns (records sorted by label, list of (filename, exception) errors).
+    A ConvergenceError entry carries the optimizer's best state.
     """
     cfg = cfg or build_config({})
     out_dir = Path(out_dir)
@@ -226,8 +231,8 @@ def run_tomo(files, out_dir, cfg=None):
         try:
             cv = tomography.read_counts(fname)
             record = analyze_counts(cv, label)
-        except (ParseError, ValidationError, DegenerateInputError) as exc:
-            errors.append((str(fname), str(exc)))
+        except (ParseError, ValidationError, DegenerateInputError, ConvergenceError) as exc:
+            errors.append((str(fname), exc))
             continue
         records.append(record)
         write_report(record, out_dir / f"{label}_report.txt")
@@ -261,12 +266,12 @@ def run_tomo(files, out_dir, cfg=None):
 def run_simulate(cfg, out_dir):
     """Synthesize one count file per power-grid point. Deterministic in
     (config, seed): identical inputs give byte-identical files."""
-    if not cfg.power_grid:
-        raise ConfigError("simulate requires a power grid")
+    if not cfg.simulate_grid:
+        raise ConfigError("simulate requires simulate.power_grid")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, power in enumerate(cfg.power_grid):
+    for i, power in enumerate(cfg.simulate_grid):
         mu = cfg.calibration.pairs_per_power * power
         params = replace(cfg.source, mu=mu)
         probs = projection_probabilities_16(rates_primed(params))
@@ -304,11 +309,11 @@ def run_sweep(cfg, out_path):
     dense reference curve) and *_fig1b* (fidelity vs power with the ideal,
     separable-limit and totally-mixed reference values).
     """
-    if not cfg.eta_list or not cfg.power_grid:
+    if not cfg.eta_list or not cfg.sweep_grid:
         raise ConfigError("sweep requires sweep.eta_list and sweep.power_grid")
     rows = []
     for eta in sorted(cfg.eta_list):
-        for power in sorted(cfg.power_grid):
+        for power in sorted(cfg.sweep_grid):
             mu = cfg.calibration.pairs_per_power * power
             params = replace(cfg.source, mu=mu, eta=eta)
             rates = rates_primed(params)

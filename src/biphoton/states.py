@@ -105,7 +105,8 @@ def fidelity(rho, psi):
         raise ValidationError("target state is not unit-norm")
     require_valid(rho)
     val = psi.conj() @ np.asarray(rho, dtype=complex) @ psi
-    assert abs(val.imag) < 1e-12
+    if abs(val.imag) >= 1e-12:
+        raise ValidationError(f"overlap <psi|rho|psi> has imaginary part {val.imag:.3g}")
     return float(val.real)
 
 

@@ -1,8 +1,9 @@
 """Unit tests for the multi-pair coincidence model.
 
-The closed-form kernels are checked three independent ways:
+The closed forms are checked four independent ways:
   * term-by-term against the raw binomial/multinomial sums,
   * against exhaustive enumeration of the detector model at fixed pair number,
+  * against the literal Poisson-weighted series of multipair_oracles,
   * against the Monte Carlo simulation at the Poisson-averaged level.
 """
 
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 import biphoton.multipair as mp
+import multipair_oracles as mo
 from biphoton import states, tomography
 from biphoton.errors import DegenerateInputError
-from biphoton.multipair import SourceParams, TruncationWarning
+from biphoton.multipair import SourceParams
 
 
 # --- independent oracles ----------------------------------------------------
@@ -92,7 +94,7 @@ def primed_sum(x, a, eta, cls):
     total = 0.0
     for k in range(x + 1):
         for m in range(x - k + 1):
-            total += mp.pair_split_weight(x, k, m, eta) * KERNEL_SUMS[cls](x, k, m, a)
+            total += mo.pair_split_weight(x, k, m, eta) * KERNEL_SUMS[cls](x, k, m, a)
     return total
 
 
@@ -132,25 +134,27 @@ def enumerate_class_prob(x, alpha, eta, cls):
 
 
 class TestPoissonPmf:
+    """The oracle's Poisson weights."""
+
     def test_examples(self):
-        assert mp.poisson_pmf(0, 0.0) == 1.0
-        assert mp.poisson_pmf(3, 0.0) == 0.0
-        assert mp.poisson_pmf(1, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert mo.poisson_pmf(0, 0.0) == 1.0
+        assert mo.poisson_pmf(3, 0.0) == 0.0
+        assert mo.poisson_pmf(1, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_tail_bound(self):
-        total = sum(mp.poisson_pmf(x, 0.5) for x in range(16))
+        total = sum(mo.poisson_pmf(x, 0.5) for x in range(16))
         assert total >= 1 - 1e-9
 
     def test_log_space_branch(self):
         # large-x branch agrees with a mpmath-free Stirling-exact identity
         exact = math.exp(-30) * 30.0**25 / math.factorial(25)
-        assert mp.poisson_pmf(25, 30.0) == pytest.approx(exact, rel=1e-10)
+        assert mo.poisson_pmf(25, 30.0) == pytest.approx(exact, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            mp.poisson_pmf(-1, 1.0)
+            mo.poisson_pmf(-1, 1.0)
         with pytest.raises(ValueError):
-            mp.poisson_pmf(1, -0.5)
+            mo.poisson_pmf(1, -0.5)
 
 
 class TestUnprimedKernels:
@@ -180,11 +184,13 @@ class TestUnprimedKernels:
 
 
 class TestPairSplitWeight:
+    """The oracle's multinomial window-split weights."""
+
     @pytest.mark.parametrize("eta", [0.001, 0.03, 0.5, 1.0])
     def test_normalization(self, eta):
         for x in range(16):
             total = sum(
-                mp.pair_split_weight(x, k, m, eta)
+                mo.pair_split_weight(x, k, m, eta)
                 for k in range(x + 1)
                 for m in range(x - k + 1)
             )
@@ -194,17 +200,17 @@ class TestPairSplitWeight:
         for x in range(1, 6):
             for k in range(x + 1):
                 for m in range(x - k + 1):
-                    w = mp.pair_split_weight(x, k, m, 1.0)
+                    w = mo.pair_split_weight(x, k, m, 1.0)
                     assert w == (1.0 if (k == x and m == 0) else 0.0)
 
     def test_direct_value(self):
-        assert mp.pair_split_weight(2, 1, 1, 0.5) == pytest.approx(0.25, rel=1e-12)
+        assert mo.pair_split_weight(2, 1, 1, 0.5) == pytest.approx(0.25, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            mp.pair_split_weight(2, 3, 0, 0.5)
+            mo.pair_split_weight(2, 3, 0, 0.5)
         with pytest.raises(ValueError):
-            mp.pair_split_weight(2, 1, 2, 0.5)
+            mo.pair_split_weight(2, 1, 2, 0.5)
 
 
 class TestPrimedKernels:
@@ -265,15 +271,12 @@ class TestRates:
         assert abs(r1.r_hv - r0.r_hv) < 1e-12
         assert abs(r1.r_hr - r0.r_hr) < 1e-12
 
-    def test_truncation_warning(self):
-        with pytest.warns(TruncationWarning):
-            mp.rates_unprimed(SourceParams(mu=5.0, alpha=0.1, n_max=5))
-
     def test_truncation_stability(self):
+        # the closed form has no truncation; it must match the literal series
         for mu in (0.1, 0.5, 1.0):
-            lo = mp.rates_primed(SourceParams(mu=mu, alpha=0.1, eta=0.3, n_max=15))
-            hi = mp.rates_primed(SourceParams(mu=mu, alpha=0.1, eta=0.3, n_max=30))
-            for a, b in [(lo.r_hh, hi.r_hh), (lo.r_hv, hi.r_hv), (lo.r_hr, hi.r_hr)]:
+            r = mp.rates_primed(SourceParams(mu=mu, alpha=0.1, eta=0.3))
+            series = mo.series_rates(mu, 0.1, 0.3)
+            for a, b in zip((r.r_hh, r.r_hv, r.r_hr), series):
                 assert abs(a - b) / b < 1e-9
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from biphoton import cli, pipeline, states, tomography
-from biphoton.errors import ConfigError
+from biphoton.errors import ConfigError, ConvergenceError
 from biphoton.multipair import SourceParams, effective_g, rates_primed
 
 
 def write_config(path, extra=""):
+    # source.n_max is no longer read; configs that still carry it must load
     path.write_text(
         "seed=0\n"
         "source.alpha=0.005\n"
@@ -235,11 +236,42 @@ class TestCli:
         assert cli.main([
             "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep.csv")
         ]) == cli.EXIT_OK
+        # sweep runs on sweep.power_grid, not on simulate.power_grid
+        _, rows = pipeline.read_table(tmp_path / "sweep.csv")
+        assert len(rows) == 2 * 2
 
     def test_tomo_reports_corrupt_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("HH;1\n")
         assert cli.main(["tomo", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+
+    def test_tomo_zero_counts_exit_validation(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        tomography.write_counts(tomography.CountVector(np.zeros(16), 1.0), path)
+        assert cli.main(["tomo", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+
+    def test_tomo_nonconvergence_keeps_batch(self, tmp_path, monkeypatch):
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.txt"
+            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+            files.append(str(path))
+        fit = tomography.mle_reconstruct
+        calls = []
+
+        def fail_first(cv):
+            calls.append(cv)
+            if len(calls) == 1:
+                raise ConvergenceError("budget exhausted")
+            return fit(cv)
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", fail_first)
+        out = tmp_path / "out"
+        assert cli.main(["tomo", *files, "--out", str(out)]) == cli.EXIT_NONCONVERGED
+        assert [p.name for p in out.glob("*_report.txt")] == ["b_report.txt"]
+        _, rows = pipeline.read_table(out / "summary.csv")
+        assert [r[0] for r in rows] == ["b"]
 
 
 class TestEndToEndConsistency:

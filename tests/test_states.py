@@ -79,6 +79,15 @@ class TestFidelity:
         with pytest.raises(ValidationError):
             states.fidelity(states.ideal_bell(), np.array([1, 1, 0, 0]))
 
+    def test_rejects_complex_overlap(self):
+        # passes require_valid (Hermiticity error exactly 1e-12), but the
+        # overlap carries an imaginary part of 1.5e-12; a real check, not an
+        # assert, so it also holds under python -O
+        rho = np.eye(4) / 4 + 0.5e-12j * (np.ones((4, 4)) - np.eye(4))
+        assert states.validate(rho).ok
+        with pytest.raises(ValidationError, match="imaginary"):
+            states.fidelity(rho, np.ones(4) / 2)
+
 
 class TestMixednessMetrics:
     def test_purity_examples(self):
