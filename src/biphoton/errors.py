@@ -19,18 +19,19 @@ class DegenerateInputError(BiphotonError):
 
 
 class ConfigError(BiphotonError):
-    """A run configuration or measurement setup is unusable
-    (missing keys, singular projector set, bad grids)."""
+    """A run configuration is unusable (missing keys, bad values, bad
+    grids)."""
 
 
 class ConvergenceError(BiphotonError):
     """The likelihood optimizer did not converge.
 
-    Carries the best state found so far and the final simplex spread so
-    callers can inspect or accept the partial result.
+    Carries the best state found so far and the largest component of the
+    objective's gradient there, so callers can inspect or accept the
+    partial result.
     """
 
-    def __init__(self, message, best_state=None, simplex_size=None):
+    def __init__(self, message, best_state=None, grad_norm=None):
         super().__init__(message)
         self.best_state = best_state
-        self.simplex_size = simplex_size
+        self.grad_norm = grad_norm

@@ -277,17 +277,15 @@ def run_simulate(cfg, out_dir):
         probs = projection_probabilities_16(rates_primed(params))
         rng = np.random.default_rng([cfg.seed, i])
         counts = rng.poisson(cfg.scale * np.clip(probs, 0, None)).astype(float)
-        cv = tomography.CountVector(counts, cfg.scale)
         path = out_dir / f"counts_{i:03d}.txt"
-        header = (
-            f"# synthetic counts, power={power!r} {cfg.calibration.power_unit}, "
-            f"mu={mu!r}\n"
-            f"# version={__version__} seed={cfg.seed} config_hash={cfg.config_hash}\n"
+        tomography.write_counts(
+            tomography.CountVector(counts, cfg.scale),
+            path,
+            comments=(
+                f"synthetic counts, power={power!r} {cfg.calibration.power_unit}, mu={mu!r}",
+                f"version={__version__} seed={cfg.seed} config_hash={cfg.config_hash}",
+            ),
         )
-        body = "\n".join(
-            f"{lab},{float(n)!r}" for lab, n in zip(tomography.CANONICAL_LABELS, cv.counts)
-        )
-        path.write_text(header + body + "\n")
         paths.append(path)
     return paths
 

@@ -12,7 +12,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import (
-    ConfigError,
     ConvergenceError,
     DegenerateInputError,
     ParseError,
@@ -39,52 +38,28 @@ CANONICAL_LABELS = (
     "VD", "VL", "HL", "RL",
 )
 
-# Indices of the computational-basis settings used for normalization
-# (their Born probabilities sum to 1 for any state).
-_COMP_LABELS = ("HH", "HV", "VH", "VV")
 
-
-@dataclass(frozen=True)
-class Projector:
-    """A rank-1 two-photon polarization projector |ab><ab|."""
-
-    label: str
-    matrix: np.ndarray
-
-
-def projector(label):
-    """Build the projector for a two-character analyzer setting like 'DR'."""
-    if len(label) != 2 or any(ch not in ANALYZER_STATES for ch in label):
-        raise ConfigError(f"unknown analyzer setting {label!r}")
+def _projector(label):
     ket = np.kron(ANALYZER_STATES[label[0]], ANALYZER_STATES[label[1]])
-    return Projector(label, np.outer(ket, ket.conj()))
+    return np.outer(ket, ket.conj())
 
 
-def canonical_projection_set():
-    """The 16 canonical projectors, in fixed order."""
-    return [projector(lab) for lab in CANONICAL_LABELS]
+# Rank-1 projectors |ab><ab| for the canonical settings, shape (16, 4, 4).
+PROJECTORS = np.stack([_projector(lab) for lab in CANONICAL_LABELS])
+
+# Dual basis M_nu with Tr(P_u M_v) = delta_uv, via the real 16x16 Gram
+# matrix G[u,v] = Tr(P_u P_v) of the (informationally complete) set.
+DUAL_BASIS = np.einsum(
+    "vu,uij->vij",
+    np.linalg.inv(np.einsum("uij,vji->uv", PROJECTORS, PROJECTORS).real),
+    PROJECTORS,
+)
 
 
-_CANONICAL = None
-
-
-def _canonical():
-    global _CANONICAL
-    if _CANONICAL is None:
-        _CANONICAL = canonical_projection_set()
-    return _CANONICAL
-
-
-def _stack(projectors):
-    return np.stack([p.matrix for p in projectors])
-
-
-def expected_probabilities(rho, projectors=None):
+def expected_probabilities(rho):
     """Born-rule probabilities p_nu = Re Tr(rho P_nu) for each setting."""
-    if projectors is None:
-        projectors = _canonical()
     rho = np.asarray(rho, dtype=complex)
-    return np.einsum("nij,ji->n", _stack(projectors), rho).real
+    return np.einsum("nij,ji->n", PROJECTORS, rho).real
 
 
 @dataclass
@@ -104,82 +79,60 @@ class CountVector:
             raise ValidationError("total_scale must be positive")
 
 
-def default_total_scale(counts, projectors=None):
+def default_total_scale(counts):
     """Counts expected for a unit-probability projector: the sum over the
-    computational-basis settings."""
-    if projectors is None:
-        projectors = _canonical()
-    labels = [p.label for p in projectors]
-    idx = [labels.index(lab) for lab in _COMP_LABELS]
-    return float(np.sum(np.asarray(counts, dtype=float)[idx]))
+    computational-basis settings, whose Born probabilities sum to 1 for
+    any state. Summed as HH, HV, VH, VV."""
+    return float(np.sum(np.asarray(counts, dtype=float)[[0, 1, 3, 2]]))
 
 
-def simulate_counts(rho, total_scale, seed, projectors=None):
+def simulate_counts(rho, total_scale, seed):
     """Poisson-sample coincidence counts for every setting.
 
-    Deterministic in (rho, total_scale, seed, projectors).
+    Deterministic in (rho, total_scale, seed).
     """
     if not total_scale > 0:
         raise ValidationError("total_scale must be positive")
-    probs = expected_probabilities(rho, projectors)
+    probs = expected_probabilities(rho)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(total_scale * np.clip(probs, 0, None)).astype(float)
     return CountVector(counts, float(total_scale))
 
 
-def gram_matrix(projectors):
-    """Real 16x16 overlap matrix G[u,v] = Tr(P_u P_v)."""
-    stack = _stack(projectors)
-    return np.einsum("uij,vji->uv", stack, stack).real
-
-
-def dual_basis(projectors):
-    """Matrices M_nu with Tr(P_u M_v) = delta_uv, via Gram inversion."""
-    g = gram_matrix(projectors)
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError("projector set is not informationally complete") from exc
-    if np.linalg.cond(g) > 1e12:
-        raise ConfigError("projector Gram matrix is numerically singular")
-    stack = _stack(projectors)
-    return np.einsum("vu,uij->vij", ginv, stack)
-
-
-def linear_reconstruct(counts, projectors=None):
+def linear_reconstruct(counts):
     """Linear-inversion estimate rho = sum_nu r_nu M_nu.
 
     Hermitian and unit-trace by construction, but may carry negative
     eigenvalues for noisy counts.
     """
-    if projectors is None:
-        projectors = _canonical()
     if isinstance(counts, CountVector):
         raw = counts.counts
     else:
         raw = np.asarray(counts, dtype=float)
     if np.all(raw == 0):
         raise DegenerateInputError("all counts are zero")
-    norm = default_total_scale(raw, projectors)
+    norm = default_total_scale(raw)
     if norm <= 0:
         raise DegenerateInputError("computational-basis counts are all zero")
     r = raw / norm
-    rho = np.einsum("v,vij->ij", r, dual_basis(projectors))
+    rho = np.einsum("v,vij->ij", r, DUAL_BASIS)
     return (rho + rho.conj().T) / 2
 
 
 # --- maximum likelihood --------------------------------------------------------
-# rho(t) = T T^dag / Tr(T T^dag) with T lower triangular: 4 real diagonal
-# parameters followed by (re, im) pairs for the 6 strictly-lower entries.
+# rho(t) = T T^dag / Tr(T T^dag) with T lower triangular (James, Kwiat, Munro
+# & White, PRA 64, 052312 (2001)): 4 real diagonal parameters followed by
+# (re, im) pairs for the 6 strictly-lower entries in row-major order.
 
-_LOWER = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+_LOWER = np.tril_indices(4, -1)
+
+# Evaluation (and iteration) budget of one fit.
+_MAX_EVALS = 200_000
 
 
 def _t_matrix(params):
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = params[:4]
-    for i, (r, c) in enumerate(_LOWER):
-        t[r, c] = params[4 + 2 * i] + 1j * params[5 + 2 * i]
+    t = np.diag(params[:4]).astype(complex)
+    t[_LOWER] = params[4::2] + 1j * params[5::2]
     return t
 
 
@@ -200,68 +153,72 @@ def _params_from_rho(rho):
     t = np.linalg.cholesky(rho_psd + 1e-10 * np.eye(4))
     params = np.empty(16)
     params[:4] = np.diag(t).real
-    for i, (r, c) in enumerate(_LOWER):
-        params[4 + 2 * i] = t[r, c].real
-        params[5 + 2 * i] = t[r, c].imag
+    params[4::2] = t[_LOWER].real
+    params[5::2] = t[_LOWER].imag
     return params
 
 
-def _neg_log_likelihood(params, raw_counts, scale, stack):
-    rho = _rho_from_params(params)
-    p = np.einsum("nij,ji->n", stack, rho).real
-    model = scale * p
-    var = np.maximum(model, 1e-9 * scale)
-    return float(np.sum((model - raw_counts) ** 2 / (2 * var)))
+def _neg_log_likelihood(params, raw_counts, scale):
+    """Gaussian-approximated Poisson negative log-likelihood and its gradient
+    in the 16 parameters.
+
+    Each setting's variance is its model count m, clamped below at
+    floor = 1e-9 * scale. With g_nu = df/dp_nu and G = sum_nu g_nu P_nu, the
+    gradient in T is 2 (G - Tr(G rho) I) T / Tr(T T^dag).
+    """
+    t = _t_matrix(params)
+    a = t @ t.conj().T
+    tr = np.trace(a).real
+    rho = a / tr
+    model = scale * np.einsum("nij,ji->n", PROJECTORS, rho).real
+    floor = 1e-9 * scale
+    free = model > floor
+    var = np.where(free, model, floor)
+    f = float(np.sum((model - raw_counts) ** 2 / (2 * var)))
+    dfdp = scale * np.where(
+        free, (1 - (raw_counts / var) ** 2) / 2, (model - raw_counts) / floor
+    )
+    g = np.einsum("n,nij->ij", dfdp, PROJECTORS)
+    dfdt = 2 * (g - np.trace(g @ rho).real * np.eye(4)) @ t / tr
+    grad = np.empty(16)
+    grad[:4] = np.diag(dfdt).real
+    grad[4::2] = dfdt[_LOWER].real
+    grad[5::2] = dfdt[_LOWER].imag
+    return f, grad
 
 
-def mle_reconstruct(counts, projectors=None, max_evals=200_000):
+def mle_reconstruct(counts):
     """Physical (Hermitian, unit-trace, PSD) estimate maximizing the
     Gaussian-approximated Poisson likelihood.
 
-    Derivative-free simplex search over the 16 triangular parameters,
-    started from the clamped linear reconstruction; restarted once from
-    the maximally mixed state if the first run exhausts its budget.
+    One L-BFGS fit over the 16 triangular parameters with the analytic
+    gradient, started from the clamped linear reconstruction.
     """
-    if projectors is None:
-        projectors = _canonical()
     if isinstance(counts, CountVector):
         raw = counts.counts
         scale = counts.total_scale
     else:
         raw = np.asarray(counts, dtype=float)
-        scale = default_total_scale(raw, projectors)
+        scale = default_total_scale(raw)
     if not np.any(raw > 0):
         raise DegenerateInputError("at least one positive count required")
-    stack = _stack(projectors)
 
-    start = _params_from_rho(linear_reconstruct(raw, projectors))
-    best = None
-    for x0 in (start, _params_from_rho(states.totally_mixed())):
-        res = minimize(
-            _neg_log_likelihood,
-            x0,
-            args=(raw, scale, stack),
-            method="Nelder-Mead",
-            options={
-                "maxfev": max_evals,
-                "fatol": 1e-10,
-                "xatol": 1e-10,
-                "adaptive": True,
-            },
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if res.success:
-            break
-    if not best.success:
-        spread = float(np.max(np.ptp(best.final_simplex[0], axis=0)))
+    res = minimize(
+        _neg_log_likelihood,
+        _params_from_rho(linear_reconstruct(raw)),
+        args=(raw, scale),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxfun": _MAX_EVALS, "maxiter": _MAX_EVALS, "ftol": 1e-12, "gtol": 1e-8},
+    )
+    if not res.success:
         raise ConvergenceError(
-            f"simplex search did not converge within {max_evals} evaluations",
-            best_state=_rho_from_params(best.x),
-            simplex_size=spread,
+            f"L-BFGS fit did not converge within {_MAX_EVALS} evaluations: {res.message}",
+            best_state=_rho_from_params(res.x),
+            grad_norm=float(np.max(np.abs(res.jac))),
         )
-    setattr(mle_reconstruct, "last_nfev", int(best.nfev))
-    return _rho_from_params(best.x)
+    setattr(mle_reconstruct, "last_nfev", int(res.nfev))
+    return _rho_from_params(res.x)
 
 
 # --- count file I/O -------------------------------------------------------------
@@ -269,10 +226,11 @@ def mle_reconstruct(counts, projectors=None, max_evals=200_000):
 # in any order and are matched against the canonical set.
 
 
-def write_counts(cv, path):
-    lines = ["# label,count"]
-    for lab, n in zip(CANONICAL_LABELS, cv.counts):
-        lines.append(f"{lab},{float(n)!r}")
+def write_counts(cv, path, comments=("label,count",)):
+    """Write a count file: one '# ' line per comment, then the 16 rows in
+    canonical order with exact (repr) values."""
+    lines = [f"# {c}" for c in comments]
+    lines += [f"{lab},{float(n)!r}" for lab, n in zip(CANONICAL_LABELS, cv.counts)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

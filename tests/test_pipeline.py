@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biphoton import cli, pipeline, states, tomography
 from biphoton.errors import ConfigError, ConvergenceError
@@ -52,6 +54,15 @@ class TestTables:
             for v, s in zip(row, raw):
                 assert float(s) == v  # repr round-trips exactly
 
+    @given(st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3), max_size=5))
+    def test_floats_round_trip_bit_exact(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        pipeline.write_table(path, ["a", "b", "c"], rows, {"seed": 0})
+        _, back = pipeline.read_table(path)
+        got = np.array([float(s) for row in back for s in row])
+        want = np.array([v for row in rows for v in row], dtype=float)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestSimulate:
     def test_deterministic_files(self, tmp_path):
@@ -62,6 +73,27 @@ class TestSimulate:
         p2 = pipeline.run_simulate(cfg, tmp_path / "b")
         for a, b in zip(p1, p2):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_count_files_keep_their_format(self, tmp_path):
+        # the bytes run_simulate wrote before it shared write_counts
+        cfg = pipeline.load_config(
+            write_config(tmp_path / "run.cfg", "simulate.power_grid=10,50\n")
+        )
+        paths = pipeline.run_simulate(cfg, tmp_path / "out")
+        for power, path in zip(cfg.simulate_grid, paths):
+            mu = cfg.calibration.pairs_per_power * power
+            counts = tomography.read_counts(path).counts
+            expected = (
+                f"# synthetic counts, power={power!r} {cfg.calibration.power_unit}, "
+                f"mu={mu!r}\n"
+                f"# version={pipeline.__version__} seed={cfg.seed} "
+                f"config_hash={cfg.config_hash}\n"
+                + "\n".join(
+                    f"{lab},{float(n)!r}" for lab, n in zip(tomography.CANONICAL_LABELS, counts)
+                )
+                + "\n"
+            )
+            assert path.read_text() == expected
 
     def test_low_power_near_ideal(self, tmp_path):
         cfg = pipeline.load_config(
