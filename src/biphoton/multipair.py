@@ -172,14 +172,6 @@ def effective_density_matrix(mu):
     return states.werner(mu / (1 + mu))
 
 
-def hr_consistency(rates):
-    """Normalized HR-class probability; 0.25 for an exact Werner state."""
-    total = 2 * (rates.r_hh + rates.r_hv)
-    if total <= 0:
-        raise DegenerateInputError("zero coincidence rates")
-    return rates.r_hr / total
-
-
 def projection_probabilities_16(rates):
     """Born probabilities over the canonical 16 settings for the Werner
     state implied by the class rates."""

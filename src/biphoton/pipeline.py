@@ -4,8 +4,9 @@ power sweeps, and figure-ready tables.
 Config files are flat "key=value" text with dotted section prefixes
 (source.alpha, sweep.power_grid, ...). CLI flags override config keys.
 Keys no subcommand reads are ignored, apart from entering the config hash.
-All emitted tables are comma-delimited with '#' provenance comments
-carrying the config hash, seed and package version.
+All emitted tables are comma-delimited with '#' provenance comments: the
+sweep tables carry the package version, seed and config hash; the tomo
+summary carries the package version and its file and error counts.
 """
 
 import hashlib
@@ -27,8 +28,6 @@ from .multipair import (
     PowerCalibration,
     SourceParams,
     effective_g,
-    hr_consistency,
-    projection_probabilities_16,
     rates_primed,
 )
 
@@ -167,13 +166,6 @@ def read_table(path):
     return header, rows
 
 
-def _meta(cfg, extra=None):
-    meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -205,24 +197,21 @@ def analyze_counts(cv, label):
 
 
 def write_report(record, path):
-    m = record.metrics
     # metrics ride along as a comment so the file re-parses as a matrix
     text = (
         f"# state report for {record.label}\n"
         + states.format_density_matrix(record.rho)
-        + f"# fidelity={m.fidelity!r}, tangle={m.tangle!r}, "
-        f"linear_entropy={m.linear_entropy!r}, werner_g={m.werner_g!r}\n"
+        + f"# {format_metrics(record.metrics)}\n"
     )
     Path(path).write_text(text)
 
 
-def run_tomo(files, out_dir, cfg=None):
+def run_tomo(files, out_dir):
     """Reconstruct every count file; failures are collected, not fatal.
 
     Returns (records sorted by label, list of (filename, exception) errors).
     A ConvergenceError entry carries the optimizer's best state.
     """
-    cfg = cfg or build_config({})
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, errors = [], []
@@ -258,7 +247,7 @@ def run_tomo(files, out_dir, cfg=None):
             "werner_g", "min_eigenvalue", "optimizer_evals", "hr_consistency",
         ],
         rows,
-        _meta(cfg, {"files": len(files), "errors": len(errors)}),
+        {"version": __version__, "files": len(files), "errors": len(errors)},
     )
     return records, errors
 
@@ -273,13 +262,11 @@ def run_simulate(cfg, out_dir):
     paths = []
     for i, power in enumerate(cfg.simulate_grid):
         mu = cfg.calibration.pairs_per_power * power
-        params = replace(cfg.source, mu=mu)
-        probs = projection_probabilities_16(rates_primed(params))
-        rng = np.random.default_rng([cfg.seed, i])
-        counts = rng.poisson(cfg.scale * np.clip(probs, 0, None)).astype(float)
+        g = effective_g(rates_primed(replace(cfg.source, mu=mu)))
+        cv = tomography.simulate_counts(states.werner(g), cfg.scale, seed=[cfg.seed, i])
         path = out_dir / f"counts_{i:03d}.txt"
         tomography.write_counts(
-            tomography.CountVector(counts, cfg.scale),
+            cv,
             path,
             comments=(
                 f"synthetic counts, power={power!r} {cfg.calibration.power_unit}, mu={mu!r}",
@@ -324,7 +311,8 @@ def run_sweep(cfg, out_path):
                 states.fidelity(rho, states.bell_state()),
             ])
     out_path = Path(out_path)
-    write_table(out_path, SWEEP_HEADER, rows, _meta(cfg))
+    meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
+    write_table(out_path, SWEEP_HEADER, rows, meta)
 
     fig2_rows = []
     for g in np.linspace(0.0, 1.0, 201):
@@ -335,7 +323,7 @@ def run_sweep(cfg, out_path):
     for row in rows:
         fig2_rows.append(["model", row[7], row[9], row[8]])
     fig2_path = out_path.with_name(out_path.stem + "_fig2" + out_path.suffix)
-    write_table(fig2_path, ["kind", "g", "linear_entropy", "tangle"], fig2_rows, _meta(cfg))
+    write_table(fig2_path, ["kind", "g", "linear_entropy", "tangle"], fig2_rows, meta)
 
     fig1b_rows = [
         [row[0], row[2], row[10]] + list(FIDELITY_REFERENCES.values()) for row in rows
@@ -345,7 +333,7 @@ def run_sweep(cfg, out_path):
         fig1b_path,
         ["power", "eta", "fidelity"] + list(FIDELITY_REFERENCES),
         fig1b_rows,
-        _meta(cfg),
+        meta,
     )
     return rows
 

@@ -54,11 +54,7 @@ class Diagnostics:
 
     @property
     def ok(self):
-        return (
-            self.hermiticity_error <= HERMITICITY_TOL
-            and self.trace_error <= TRACE_TOL
-            and self.min_eigenvalue >= -PSD_TOL
-        )
+        return not self.failures()
 
     def failures(self):
         """Names of the violated invariants, in a fixed order."""

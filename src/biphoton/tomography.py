@@ -73,8 +73,8 @@ class CountVector:
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.shape != (16,):
             raise ValidationError(f"expected 16 counts, got shape {self.counts.shape}")
-        if np.any(self.counts < 0):
-            raise ValidationError("counts must be non-negative")
+        if not (np.all(np.isfinite(self.counts)) and np.all(self.counts >= 0)):
+            raise ValidationError("counts must be finite and non-negative")
         if not self.total_scale > 0:
             raise ValidationError("total_scale must be positive")
 
@@ -99,22 +99,17 @@ def simulate_counts(rho, total_scale, seed):
     return CountVector(counts, float(total_scale))
 
 
-def linear_reconstruct(counts):
-    """Linear-inversion estimate rho = sum_nu r_nu M_nu.
+def linear_reconstruct(cv):
+    """Linear-inversion estimate rho = sum_nu r_nu M_nu from a CountVector,
+    with r_nu the counts over their computational-basis sum.
 
     Hermitian and unit-trace by construction, but may carry negative
     eigenvalues for noisy counts.
     """
-    if isinstance(counts, CountVector):
-        raw = counts.counts
-    else:
-        raw = np.asarray(counts, dtype=float)
-    if np.all(raw == 0):
-        raise DegenerateInputError("all counts are zero")
-    norm = default_total_scale(raw)
+    norm = default_total_scale(cv.counts)
     if norm <= 0:
         raise DegenerateInputError("computational-basis counts are all zero")
-    r = raw / norm
+    r = cv.counts / norm
     rho = np.einsum("v,vij->ij", r, DUAL_BASIS)
     return (rho + rho.conj().T) / 2
 
@@ -187,26 +182,18 @@ def _neg_log_likelihood(params, raw_counts, scale):
     return f, grad
 
 
-def mle_reconstruct(counts):
+def mle_reconstruct(cv):
     """Physical (Hermitian, unit-trace, PSD) estimate maximizing the
-    Gaussian-approximated Poisson likelihood.
+    Gaussian-approximated Poisson likelihood of a CountVector, whose
+    total_scale sets the expected count of a unit-probability setting.
 
     One L-BFGS fit over the 16 triangular parameters with the analytic
     gradient, started from the clamped linear reconstruction.
     """
-    if isinstance(counts, CountVector):
-        raw = counts.counts
-        scale = counts.total_scale
-    else:
-        raw = np.asarray(counts, dtype=float)
-        scale = default_total_scale(raw)
-    if not np.any(raw > 0):
-        raise DegenerateInputError("at least one positive count required")
-
     res = minimize(
         _neg_log_likelihood,
-        _params_from_rho(linear_reconstruct(raw)),
-        args=(raw, scale),
+        _params_from_rho(linear_reconstruct(cv)),
+        args=(cv.counts, cv.total_scale),
         jac=True,
         method="L-BFGS-B",
         options={"maxfun": _MAX_EVALS, "maxiter": _MAX_EVALS, "ftol": 1e-12, "gtol": 1e-8},
@@ -235,11 +222,9 @@ def write_counts(cv, path, comments=("label,count",)):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_counts(path, total_scale=None):
-    """Parse a 16-row count file into a CountVector.
-
-    total_scale defaults to the computational-basis count sum.
-    """
+def read_counts(path):
+    """Parse a 16-row count file into a CountVector whose total_scale is
+    the computational-basis count sum."""
     seen = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -258,15 +243,14 @@ def read_counts(path, total_scale=None):
                 value = float(parts[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
-            if value < 0:
-                raise ParseError(f"{path}:{lineno}: negative count")
+            if not 0 <= value < np.inf:
+                raise ParseError(f"{path}:{lineno}: count must be finite and non-negative")
             seen[lab] = value
     missing = [lab for lab in CANONICAL_LABELS if lab not in seen]
     if missing:
         raise ParseError(f"{path}: missing labels {missing}")
     counts = np.array([seen[lab] for lab in CANONICAL_LABELS])
-    if total_scale is None:
-        total_scale = default_total_scale(counts)
+    total_scale = default_total_scale(counts)
     if total_scale <= 0:
         raise DegenerateInputError(f"{path}: computational-basis counts are zero")
     return CountVector(counts, float(total_scale))

@@ -152,6 +152,16 @@ class TestTomoBatch:
         assert np.max(np.abs(rho - records[0].rho)) < 1e-15
         assert "fidelity=" in report and "werner_g=" in report
 
+    def test_summary_carries_no_config_provenance(self, tmp_path):
+        # tomo reads no config, so its summary names no seed or config hash
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        path = tmp_path / "w.txt"
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        pipeline.run_tomo([str(path)], tmp_path / "out")
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        comments = [line for line in lines if line.startswith("#")]
+        assert comments == [f"# version={pipeline.__version__}", "# files=1", "# errors=0"]
+
 
 class TestSweep:
     @pytest.fixture
@@ -276,6 +286,22 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("HH;1\n")
         assert cli.main(["tomo", str(bad), "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_tomo_nonfinite_count_keeps_batch(self, tmp_path, capsys, value):
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        bad.write_text("".join(
+            f"{lab},{value if lab == 'RH' else n}\n"
+            for lab, n in zip(tomography.CANONICAL_LABELS, probs * 1e6)
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["tomo", str(good), str(bad), "--out", str(out)]) == cli.EXIT_PARSE
+        assert f"parse error: {bad}" in capsys.readouterr().err
+        assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
+        _, rows = pipeline.read_table(out / "summary.csv")
+        assert [r[0] for r in rows] == ["good"]
 
     def test_tomo_zero_counts_exit_validation(self, tmp_path):
         path = tmp_path / "zero.txt"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biphoton import states
 from biphoton.errors import ParseError, ValidationError
@@ -191,6 +193,14 @@ class TestSerialization:
         text = states.format_density_matrix(rho)
         back = states.parse_density_matrix(text)
         assert np.allclose(back, rho, atol=1e-15)
+
+    @given(st.lists(
+        st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=16, max_size=16
+    ))
+    def test_round_trips_bit_exact(self, entries):
+        rho = np.array(entries, dtype=complex).reshape(4, 4)
+        back = states.parse_density_matrix(states.format_density_matrix(rho))
+        assert np.array_equal(back.view(np.uint64), rho.view(np.uint64))
 
     def test_parenthesized_form(self):
         text = "\n".join(" ".join("(0.25,0)" for _ in range(4)) for _ in range(4))

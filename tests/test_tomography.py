@@ -7,7 +7,7 @@ import pytest
 
 import tomography_oracles as to
 from biphoton import states, tomography
-from biphoton.errors import ConvergenceError, DegenerateInputError, ParseError
+from biphoton.errors import ConvergenceError, DegenerateInputError, ParseError, ValidationError
 
 
 def random_state(rng, n_components=4):
@@ -74,6 +74,23 @@ class TestExpectedProbabilities:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
+class TestCountVector:
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.r_[-1.0, np.ones(15)],
+            np.r_[np.nan, np.ones(15)],
+            np.r_[np.inf, np.ones(15)],
+            np.ones(15),
+            np.ones((4, 4)),
+        ],
+        ids=["negative", "nan", "inf", "short", "matrix"],
+    )
+    def test_rejects_invalid_counts(self, counts):
+        with pytest.raises(ValidationError):
+            tomography.CountVector(counts, 1.0)
+
+
 class TestSimulateCounts:
     def test_deterministic(self):
         a = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=3)
@@ -91,14 +108,15 @@ class TestLinearReconstruct:
     def test_noiseless_round_trip(self, rho_fn):
         rho = rho_fn()
         probs = tomography.expected_probabilities(rho)
-        est = tomography.linear_reconstruct(probs * 1e6)
+        est = tomography.linear_reconstruct(tomography.CountVector(probs * 1e6, 1e6))
         assert np.max(np.abs(est - rho)) < 1e-10
 
     def test_random_states_round_trip(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             rho = random_state(rng)
-            est = tomography.linear_reconstruct(tomography.expected_probabilities(rho))
+            probs = tomography.expected_probabilities(rho)
+            est = tomography.linear_reconstruct(tomography.CountVector(probs, 1.0))
             assert np.max(np.abs(est - rho)) < 1e-9
 
     def test_noisy_counts_can_break_positivity(self):
@@ -118,7 +136,7 @@ class TestLinearReconstruct:
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(DegenerateInputError):
-            tomography.linear_reconstruct(np.zeros(16))
+            tomography.linear_reconstruct(tomography.CountVector(np.zeros(16), 1.0))
 
 
 class TestMleReconstruct:
@@ -257,6 +275,13 @@ def test_boundary_count_files_converge(tmp_path, counts):
     )
 
 
+def ones_with_rh(value):
+    """A count file body: every count 1 but RH, which is the text value."""
+    return "\n".join(
+        f"{lab},{value if lab == 'RH' else 1}" for lab in tomography.CANONICAL_LABELS
+    )
+
+
 class TestCountFiles:
     def test_round_trip(self, tmp_path):
         cv = tomography.simulate_counts(states.werner(0.3), 1e4, seed=2)
@@ -280,6 +305,10 @@ class TestCountFiles:
             "HH,100",  # missing rows
             "XX,1\n" + "\n".join(f"{lab},1" for lab in tomography.CANONICAL_LABELS[1:]),
             "HH,abc\n" + "\n".join(f"{lab},1" for lab in tomography.CANONICAL_LABELS[1:]),
+            ones_with_rh("nan"),
+            ones_with_rh("inf"),
+            ones_with_rh("1e400"),
+            ones_with_rh("-1"),
         ],
     )
     def test_malformed_files(self, tmp_path, body):

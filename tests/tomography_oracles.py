@@ -30,7 +30,7 @@ def _neg_log_likelihood(params, raw_counts, scale):
 def nelder_mead_fit(cv, max_evals=200_000):
     """(rho, converged) from the restarted simplex search on a CountVector."""
     raw, scale = cv.counts, cv.total_scale
-    start = tomography._params_from_rho(tomography.linear_reconstruct(raw))
+    start = tomography._params_from_rho(tomography.linear_reconstruct(cv))
     best = None
     for x0 in (start, tomography._params_from_rho(states.totally_mixed())):
         res = minimize(
