@@ -26,12 +26,12 @@ class ConfigError(BiphotonError):
 class ConvergenceError(BiphotonError):
     """The likelihood optimizer did not converge.
 
-    Carries the best state found so far and the largest component of the
-    objective's gradient there, so callers can inspect or accept the
-    partial result.
+    Carries the last state reached and its certificate gap, an upper bound
+    on how far that state's objective lies above the optimum, so callers
+    can inspect or accept the partial result.
     """
 
-    def __init__(self, message, best_state=None, grad_norm=None):
+    def __init__(self, message, best_state=None, gap=None):
         super().__init__(message)
         self.best_state = best_state
-        self.grad_norm = grad_norm
+        self.gap = gap

@@ -103,8 +103,8 @@ class PowerCalibration:
     power_unit: str = "uW"
 
     def __post_init__(self):
-        if not self.pairs_per_power > 0:
-            raise ValueError("pairs_per_power must be positive")
+        if not 0 < self.pairs_per_power < math.inf:
+            raise ValueError("pairs_per_power must be positive and finite")
 
 
 def _pair_factors(alpha, eta, cls):

@@ -114,14 +114,18 @@ def build_config(keys, overrides=None):
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    if not (np.isfinite(cfg.scale) and cfg.seed >= 0):
+        raise ConfigError(f"simulate.scale={cfg.scale!r} must be finite, seed={cfg.seed} >= 0")
     if "sweep.eta_list" in merged:
         cfg.eta_list = _float_list(merged["sweep.eta_list"], "sweep.eta_list")
+        if not all(0 <= eta <= 1 for eta in cfg.eta_list):
+            raise ConfigError("sweep.eta_list values must lie in [0, 1]")
     if "sweep.power_grid" in merged:
         cfg.sweep_grid = _float_list(merged["sweep.power_grid"], "sweep.power_grid")
     if "simulate.power_grid" in merged:
         cfg.simulate_grid = _float_list(merged["simulate.power_grid"], "simulate.power_grid")
-    if any(p <= 0 for p in cfg.sweep_grid + cfg.simulate_grid):
-        raise ConfigError("power grid values must be positive")
+    if not all(0 < p < np.inf for p in cfg.sweep_grid + cfg.simulate_grid):
+        raise ConfigError("power grid values must be positive and finite")
     return cfg
 
 

@@ -9,7 +9,6 @@ off-diagonals; all shipped tests use this convention.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ConvergenceError,
@@ -17,7 +16,6 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from . import states
 
 _INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -75,8 +73,8 @@ class CountVector:
             raise ValidationError(f"expected 16 counts, got shape {self.counts.shape}")
         if not (np.all(np.isfinite(self.counts)) and np.all(self.counts >= 0)):
             raise ValidationError("counts must be finite and non-negative")
-        if not self.total_scale > 0:
-            raise ValidationError("total_scale must be positive")
+        if not 0 < self.total_scale < np.inf:
+            raise ValidationError("total_scale must be positive and finite")
 
 
 def default_total_scale(counts):
@@ -91,11 +89,14 @@ def simulate_counts(rho, total_scale, seed):
 
     Deterministic in (rho, total_scale, seed).
     """
-    if not total_scale > 0:
-        raise ValidationError("total_scale must be positive")
+    if not 0 < total_scale < np.inf:
+        raise ValidationError("total_scale must be positive and finite")
     probs = expected_probabilities(rho)
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(total_scale * np.clip(probs, 0, None)).astype(float)
+    try:
+        counts = rng.poisson(total_scale * np.clip(probs, 0, None)).astype(float)
+    except ValueError as exc:
+        raise ValidationError(f"cannot sample counts at total_scale={total_scale!r}: {exc}") from exc
     return CountVector(counts, float(total_scale))
 
 
@@ -115,71 +116,43 @@ def linear_reconstruct(cv):
 
 
 # --- maximum likelihood --------------------------------------------------------
-# rho(t) = T T^dag / Tr(T T^dag) with T lower triangular (James, Kwiat, Munro
-# & White, PRA 64, 052312 (2001)): 4 real diagonal parameters followed by
-# (re, im) pairs for the 6 strictly-lower entries in row-major order.
 
-_LOWER = np.tril_indices(4, -1)
-
-# Evaluation (and iteration) budget of one fit.
-_MAX_EVALS = 200_000
-
-
-def _t_matrix(params):
-    t = np.diag(params[:4]).astype(complex)
-    t[_LOWER] = params[4::2] + 1j * params[5::2]
-    return t
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+# B_k = sigma_i (x) sigma_j / 2 with Tr(B_k B_l) = delta_kl; A[nu, k] = Tr(P_nu B_k)
+_BASIS = np.stack([np.kron(a, b) / 2 for a in _PAULI for b in _PAULI][1:])
+_DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
+_MAX_STEPS = 500  # Newton-step budget of one fit
+_REL_TOL = 1e-10  # the fit stops once 4 mu <= _REL_TOL * max(1, f)
 
 
-def _rho_from_params(params):
-    t = _t_matrix(params)
-    rho = t @ t.conj().T
-    tr = np.trace(rho).real
-    if tr <= 0:
-        return states.totally_mixed()
-    return rho / tr
+def _rho(x):
+    return np.eye(4) / 4 + (x @ _BASIS.reshape(15, 16)).reshape(4, 4)
 
 
-def _params_from_rho(rho):
-    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    w = np.clip(w, 0, None)
-    rho_psd = (v * w) @ v.conj().T
-    rho_psd /= np.trace(rho_psd).real
-    t = np.linalg.cholesky(rho_psd + 1e-10 * np.eye(4))
-    params = np.empty(16)
-    params[:4] = np.diag(t).real
-    params[4::2] = t[_LOWER].real
-    params[5::2] = t[_LOWER].imag
-    return params
-
-
-def _neg_log_likelihood(params, raw_counts, scale):
-    """Gaussian-approximated Poisson negative log-likelihood and its gradient
-    in the 16 parameters.
-
-    Each setting's variance is its model count m, clamped below at
-    floor = 1e-9 * scale. With g_nu = df/dp_nu and G = sum_nu g_nu P_nu, the
-    gradient in T is 2 (G - Tr(G rho) I) T / Tr(T T^dag).
-    """
-    t = _t_matrix(params)
-    a = t @ t.conj().T
-    tr = np.trace(a).real
-    rho = a / tr
-    model = scale * np.einsum("nij,ji->n", PROJECTORS, rho).real
+def _likelihood(x, counts, scale):
+    """f at rho(x), its gradient scale A^T f'(m) and Hessian scale^2 A^T diag(f''(m)) A."""
+    m = scale * (0.25 + _DESIGN @ x)
     floor = 1e-9 * scale
-    free = model > floor
-    var = np.where(free, model, floor)
-    f = float(np.sum((model - raw_counts) ** 2 / (2 * var)))
-    dfdp = scale * np.where(
-        free, (1 - (raw_counts / var) ** 2) / 2, (model - raw_counts) / floor
-    )
-    g = np.einsum("n,nij->ij", dfdp, PROJECTORS)
-    dfdt = 2 * (g - np.trace(g @ rho).real * np.eye(4)) @ t / tr
-    grad = np.empty(16)
-    grad[:4] = np.diag(dfdt).real
-    grad[4::2] = dfdt[_LOWER].real
-    grad[5::2] = dfdt[_LOWER].imag
-    return f, grad
+    free = m > floor
+    var = np.where(free, m, floor)
+    d1 = np.where(free, (1 - (counts / var) ** 2) / 2, (m - counts) / floor)
+    d2 = np.where(free, counts**2 / var**3, 1 / floor)
+    f = float(np.sum((m - counts) ** 2 / (2 * var)))
+    return f, scale * d1 @ _DESIGN, scale**2 * (_DESIGN.T * d2) @ _DESIGN
+
+
+def _neg_log_det(x):
+    """-log det rho(x), its gradient -Tr(rho^-1 B_k) and Hessian Tr(rho^-1 B_k rho^-1 B_l),
+    through C_k = rho^-1/2 B_k rho^-1/2 in rho's eigenbasis."""
+    w, v = np.linalg.eigh(_rho(x))
+    c = (v.conj().T @ _BASIS @ v / np.sqrt(np.outer(w, w))).reshape(15, 16)
+    return -float(np.sum(np.log(w))), -c[:, ::5].sum(axis=1).real, (c @ c.conj().T).real
+
+
+def _gap(x, grad):
+    """Tr(G rho) - lambda_min(G) >= f(rho(x)) - f* for G = sum_nu df/dp_nu P_nu,
+    of which only the traceless part sum_k grad_k B_k changes the difference."""
+    return float(grad @ x - np.linalg.eigvalsh(np.tensordot(grad, _BASIS, 1))[0])
 
 
 def mle_reconstruct(cv):
@@ -187,25 +160,47 @@ def mle_reconstruct(cv):
     Gaussian-approximated Poisson likelihood of a CountVector, whose
     total_scale sets the expected count of a unit-probability setting.
 
-    One L-BFGS fit over the 16 triangular parameters with the analytic
-    gradient, started from the clamped linear reconstruction.
+    f = sum_nu (m_nu - n_nu)^2 / 2 max(m_nu, 1e-9 scale) is convex in rho
+    but for a kink at that floor. A log-det barrier method (Boyd &
+    Vandenberghe, Convex Optimization (2004), ch. 11) takes damped Newton
+    steps on F = f - mu log det rho, so rho stays positive definite, and
+    ends once 4 mu, a bound on f - f* at a centered iterate, is at most
+    1e-10 max(1, f). Raises ConvergenceError with the last state and its
+    certificate gap if the Newton-step budget runs out.
     """
-    res = minimize(
-        _neg_log_likelihood,
-        _params_from_rho(linear_reconstruct(cv)),
-        args=(cv.counts, cv.total_scale),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxfun": _MAX_EVALS, "maxiter": _MAX_EVALS, "ftol": 1e-12, "gtol": 1e-8},
-    )
-    if not res.success:
-        raise ConvergenceError(
-            f"L-BFGS fit did not converge within {_MAX_EVALS} evaluations: {res.message}",
-            best_state=_rho_from_params(res.x),
-            grad_norm=float(np.max(np.abs(res.jac))),
-        )
-    setattr(mle_reconstruct, "last_nfev", int(res.nfev))
-    return _rho_from_params(res.x)
+    counts, scale = cv.counts, cv.total_scale
+    # A singular linear estimate (a rank-deficient one has round-off eigenvalues
+    # near +-1e-17, with no digits in log det) is shrunk toward I/4 to lambda_min 1e-3.
+    rho = linear_reconstruct(cv)
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < 1e-9:
+        rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
+    x = np.einsum("kij,ji->k", _BASIS, rho).real
+    f, grad, _ = _likelihood(x, counts, scale)
+    mu = max(_gap(x, grad), _REL_TOL * max(1.0, f)) / 4
+    for steps in range(1, _MAX_STEPS + 1):
+        f, grad, hess = _likelihood(x, counts, scale)
+        barrier, dbarrier, d2barrier = _neg_log_det(x)
+        g = grad + mu * dbarrier
+        dx = np.linalg.solve(hess + mu * d2barrier, -g)
+        lam2 = -(g @ dx) / mu  # squared Newton decrement of F / mu
+        # Backtrack while not centered. F / mu is self-concordant, so in exact arithmetic
+        # a t >= 1 / (2 (1 + lam)) passes (ibid., sec. 9.6.4); if none does, rounding ends it.
+        t = 1.0
+        while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
+            w = np.linalg.eigvalsh(_rho(x + t * dx))
+            if w[0] > 0 and (_likelihood(x + t * dx, counts, scale)[0] - mu * np.sum(np.log(w))
+                             <= f + mu * barrier - t * mu * lam2 / 4):
+                x = x + t * dx
+                break
+            t /= 2
+        else:  # centered, or stalled in rounding
+            if 4 * mu <= _REL_TOL * max(1.0, f):
+                setattr(mle_reconstruct, "last_nfev", steps)
+                return _rho(x)
+            mu /= 100
+    raise ConvergenceError(f"barrier Newton fit did not converge within {_MAX_STEPS} steps",
+                           best_state=_rho(x), gap=_gap(x, _likelihood(x, counts, scale)[1]))
 
 
 # --- count file I/O -------------------------------------------------------------

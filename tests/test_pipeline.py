@@ -308,6 +308,29 @@ class TestCli:
         tomography.write_counts(tomography.CountVector(np.zeros(16), 1.0), path)
         assert cli.main(["tomo", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "command, args, extra, code",
+        [
+            ("simulate", ["--scale", "inf"], "", cli.EXIT_PARSE),
+            ("simulate", ["--seed", "-1"], "", cli.EXIT_PARSE),
+            ("sweep", [], "sweep.eta_list=0.5,1.5\n", cli.EXIT_PARSE),
+            ("sweep", [], "sweep.power_grid=1,nan\n", cli.EXIT_PARSE),
+            ("sweep", [], "calibration.pairs_per_power=inf\n", cli.EXIT_PARSE),
+            ("simulate", ["--scale", "1e300"], "", cli.EXIT_VALIDATION),
+        ],
+        ids=["scale-inf", "seed-negative", "eta-above-one", "grid-nan", "pairs-inf", "scale-1e300"],
+    )
+    def test_bad_values_get_exit_code(self, tmp_path, capsys, command, args, extra, code):
+        cfg_path = write_config(
+            tmp_path / "run.cfg",
+            "simulate.power_grid=10\nsweep.eta_list=0.03\nsweep.power_grid=10\n" + extra,
+        )
+        out = tmp_path / ("counts" if command == "simulate" else "sweep.csv")
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out), *args]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_tomo_nonconvergence_keeps_batch(self, tmp_path, monkeypatch):
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = []

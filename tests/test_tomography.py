@@ -1,10 +1,16 @@
 """Unit tests for projector construction, count simulation and both
-reconstruction routes; the likelihood fit is checked against the
-Nelder-Mead reference fit in tomography_oracles."""
+reconstruction routes; the likelihood fit is checked against the reference
+fits in tomography_oracles."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biphoton
 import tomography_oracles as to
 from biphoton import states, tomography
 from biphoton.errors import ConvergenceError, DegenerateInputError, ParseError, ValidationError
@@ -22,6 +28,17 @@ def random_state(rng, n_components=4):
 
 def projector(label):
     return tomography.PROJECTORS[tomography.CANONICAL_LABELS.index(label)]
+
+
+def coordinates(rho):
+    """x with rho = I/4 + sum_k x_k B_k."""
+    return np.einsum("kij,ji->k", tomography._BASIS, rho).real
+
+
+def count_vector(counts):
+    """A CountVector with the scale read_counts gives the same counts."""
+    counts = np.asarray(counts, dtype=float)
+    return tomography.CountVector(counts, tomography.default_total_scale(counts))
 
 
 class TestProjectionSet:
@@ -90,6 +107,11 @@ class TestCountVector:
         with pytest.raises(ValidationError):
             tomography.CountVector(counts, 1.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_invalid_scale(self, scale):
+        with pytest.raises(ValidationError):
+            tomography.CountVector(np.ones(16), scale)
+
 
 class TestSimulateCounts:
     def test_deterministic(self):
@@ -101,6 +123,11 @@ class TestSimulateCounts:
         cv = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=3)
         hh = cv.counts[tomography.CANONICAL_LABELS.index("HH")]
         assert abs(hh - 5e4) < 5 * np.sqrt(5e4)
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 1e300])
+    def test_rejects_unsampleable_scale(self, scale):
+        with pytest.raises(ValidationError):
+            tomography.simulate_counts(states.ideal_bell(), scale, seed=3)
 
 
 class TestLinearReconstruct:
@@ -167,22 +194,21 @@ class TestMleReconstruct:
 
     def test_never_worse_than_projected_linear_start(self):
         cv = tomography.simulate_counts(states.werner(0.2), 5e3, seed=9)
-        start = tomography._params_from_rho(tomography.linear_reconstruct(cv))
-        start_nll, _ = tomography._neg_log_likelihood(start, cv.counts, cv.total_scale)
+        start = to.rho_from_params(to.params_from_rho(tomography.linear_reconstruct(cv)))
         est = tomography.mle_reconstruct(cv)
-        est_nll, _ = tomography._neg_log_likelihood(
-            tomography._params_from_rho(est), cv.counts, cv.total_scale
-        )
-        assert est_nll <= start_nll + 1e-6
+        assert to.objective(est, cv.counts, cv.total_scale) <= to.objective(
+            start, cv.counts, cv.total_scale
+        ) + 1e-6
 
     def test_nonconvergence_carries_best_state(self, monkeypatch):
-        monkeypatch.setattr(tomography, "_MAX_EVALS", 3)
-        cv = tomography.simulate_counts(states.werner(0.5), 1e4, seed=1)
+        # a boundary fit takes tens of Newton steps; an interior one 1-2
+        monkeypatch.setattr(tomography, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError) as exc_info:
-            tomography.mle_reconstruct(cv)
+            tomography.mle_reconstruct(count_vector(BOUNDARY_FILES[0]))
         err = exc_info.value
-        assert err.best_state is not None
-        assert err.grad_norm is not None
+        assert states.validate(err.best_state).ok
+        assert isinstance(err.gap, float)
+        assert 0 < err.gap < np.inf
 
     def test_werner_fit_converges_with_scale(self):
         # median |g_hat - g| shrinks as counts grow
@@ -198,34 +224,66 @@ class TestMleReconstruct:
         assert medians[0] > medians[1] > medians[2]
 
 
-def central_difference(params, raw, scale, h=1e-6):
-    def f(x):
-        return tomography._neg_log_likelihood(x, raw, scale)[0]
-
-    return np.array([(f(params + h * e) - f(params - h * e)) / (2 * h) for e in np.eye(16)])
+def central_difference(fn, x, h):
+    """d fn / d x_k for each coordinate k, stacked along the first axis."""
+    return np.array([(fn(x + h * e) - fn(x - h * e)) / (2 * h) for e in np.eye(len(x))])
 
 
 class TestLikelihoodGradient:
+    """Gradients and Hessians of the fit's objective and barrier in the 15
+    coordinates of rho, against central differences."""
+
+    def check_likelihood(self, x, cv, h):
+        f, grad, hess = tomography._likelihood(x, cv.counts, cv.total_scale)
+        num_grad = central_difference(
+            lambda y: tomography._likelihood(y, cv.counts, cv.total_scale)[0], x, h)
+        num_hess = central_difference(
+            lambda y: tomography._likelihood(y, cv.counts, cv.total_scale)[1], x, h)
+        assert f == pytest.approx(to.objective(tomography._rho(x), cv.counts, cv.total_scale),
+                                  rel=1e-12)
+        assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
+        assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
+
     def test_random_parameters(self):
         rng = np.random.default_rng(5)
         cv = tomography.simulate_counts(states.werner(0.5), 1e4, seed=1)
         for _ in range(5):
-            params = rng.normal(size=16)
-            _, grad = tomography._neg_log_likelihood(params, cv.counts, cv.total_scale)
-            numeric = central_difference(params, cv.counts, cv.total_scale)
-            assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
+            self.check_likelihood(coordinates(random_state(rng)), cv, h=1e-6)
 
     def test_clamped_variance(self):
-        # at the Bell state the HV model count (1e-5) sits below the
+        # near the Bell state the HV model count (1e-5) sits below the
         # variance floor (1e-9 * scale = 1e-4), so that setting takes the
-        # clamped branch of the gradient
+        # clamped branch; the step h keeps it there
         cv = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=0)
-        params = tomography._params_from_rho(states.ideal_bell())
-        hv = cv.total_scale * tomography.expected_probabilities(tomography._rho_from_params(params))[1]
+        rho = (1 - 4e-10) * states.ideal_bell() + 4e-10 * states.totally_mixed()
+        hv = cv.total_scale * tomography.expected_probabilities(rho)[1]
         assert hv < 1e-9 * cv.total_scale
-        _, grad = tomography._neg_log_likelihood(params, cv.counts, cv.total_scale)
-        numeric = central_difference(params, cv.counts, cv.total_scale, h=1e-7)
-        assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
+        self.check_likelihood(coordinates(rho), cv, h=1e-10)
+
+    def test_gap_matches_certificate(self):
+        # the fit's gap, from the coordinates' gradient, against the bound
+        # computed from G = sum_nu df/dp_nu P_nu over the Hermitian matrices
+        rng = np.random.default_rng(8)
+        cv = tomography.simulate_counts(states.werner(0.05), 1e4, seed=2)
+        for _ in range(5):
+            rho = random_state(rng)
+            x = coordinates(rho)
+            gap = tomography._gap(x, tomography._likelihood(x, cv.counts, cv.total_scale)[1])
+            assert gap == pytest.approx(to.certificate(rho, cv.counts, cv.total_scale), rel=1e-9)
+
+    def test_barrier_random_points(self):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            rho = random_state(rng)
+            x = coordinates(rho)
+            value, grad, hess = tomography._neg_log_det(x)
+            assert value == pytest.approx(-np.log(np.linalg.det(rho).real), rel=1e-12)
+            # the differences' relative error is about (h / lambda_min)^2
+            h = 1e-4 * np.linalg.eigvalsh(rho)[0]
+            num_grad = central_difference(lambda y: tomography._neg_log_det(y)[0], x, h)
+            num_hess = central_difference(lambda y: tomography._neg_log_det(y)[1], x, h)
+            assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
+            assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
 
 
 def oracle_cases():
@@ -273,6 +331,51 @@ def test_boundary_count_files_converge(tmp_path, counts):
     assert to.objective(rho, cv.counts, cv.total_scale) <= to.objective(
         clipped, cv.counts, cv.total_scale
     )
+
+
+def saddle_case():
+    """Low-power Werner counts on which the Cholesky-factor fits (L-BFGS and
+    Nelder-Mead) stop at a rank-2 stationary point, objective 0.176851 and
+    werner_g 0.020207; the optimum has rank 3."""
+    return tomography.simulate_counts(states.werner(0.01), 1e4, seed=7)
+
+
+def certified_cases():
+    rng = np.random.default_rng(11)
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    pure = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    return oracle_cases() + [count_vector(c) for c in BOUNDARY_FILES] + [
+        saddle_case(),
+        tomography.CountVector(tomography.expected_probabilities(pure) * 1e6, 1e6),
+    ]
+
+
+@pytest.mark.parametrize("cv", certified_cases())
+def test_fit_never_above_lbfgs_or_projected_gradient(cv):
+    f = to.objective(tomography.mle_reconstruct(cv), cv.counts, cv.total_scale)
+    f_lbfgs = to.objective(to.lbfgs_fit(cv)[0], cv.counts, cv.total_scale)
+    f_pg = to.objective(to.projected_gradient_fit(cv), cv.counts, cv.total_scale)
+    assert f <= min(f_lbfgs, f_pg) + 1e-8 * max(1.0, f)
+
+
+def test_low_power_fit_reaches_the_optimum():
+    cv = saddle_case()
+    rho = tomography.mle_reconstruct(cv)
+    assert states.validate(rho).ok
+    assert to.objective(rho, cv.counts, cv.total_scale) <= 0.17619
+    assert states.werner_fit(rho) == pytest.approx(0.020345, abs=1e-4)
+
+
+def test_import_leaves_scipy_out():
+    src = Path(biphoton.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, biphoton; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def ones_with_rh(value):

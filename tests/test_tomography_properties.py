@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tomography_oracles as to
 from biphoton import states, tomography
 
 
@@ -27,5 +28,8 @@ def test_count_file_round_trips_exactly(tmp_path_factory, counts):
 def test_mle_always_physical(counts):
     scale = tomography.default_total_scale(counts)
     assume(scale > 0)
-    rho = tomography.mle_reconstruct(tomography.CountVector(counts, scale))
+    cv = tomography.CountVector(counts, scale)
+    rho = tomography.mle_reconstruct(cv)
     assert states.validate(rho).ok
+    f = to.objective(rho, counts, scale)
+    assert f <= to.objective(to.lbfgs_fit(cv)[0], counts, scale) + 1e-8 * max(1.0, f)

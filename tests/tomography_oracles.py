@@ -1,11 +1,26 @@
-"""Reference likelihood fit for the tomography tests.
+"""Reference likelihood fits for the tomography tests.
 
-The derivative-free route the package took before its analytic-gradient
-L-BFGS fit: an adaptive Nelder-Mead simplex search over the same 16
-triangular parameters and the same objective, started from the clamped
-linear reconstruction and restarted once from the maximally mixed state if
-the first run exhausts its budget. Slow (thousands of evaluations per fit)
-and kept only as an independent check on the optimum the package reaches.
+All three minimize the package's objective (`objective` below) over the
+density matrices and share no code with its barrier Newton fit:
+
+- `lbfgs_fit`, the old path: one L-BFGS-B run with the analytic gradient
+  over the 16 real parameters of a lower-triangular Cholesky factor T,
+  rho = T T^dag / Tr(T T^dag) (James, Kwiat, Munro & White, PRA 64, 052312
+  (2001)), started from the clamped linear reconstruction.
+- `nelder_mead_fit`, the route before that: an adaptive Nelder-Mead search
+  over the same 16 parameters, restarted once from the maximally mixed
+  state if the first run exhausts its budget. Thousands of evaluations per
+  fit.
+- `projected_gradient_fit`: accelerated projected gradient directly over
+  the density matrices (Shang, Zhang & Ng, PRA 95, 062336 (2017)), each
+  step projected back by projecting the eigenvalues onto the probability
+  simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
+
+The Cholesky form is the Burer-Monteiro factorization (Math. Program. 95,
+329 (2003)): at a rank-deficient rho it has stationary points that are not
+minima, and the first two fits can stop there on boundary inputs. The
+projected-gradient run shares neither that parametrization nor the
+package's.
 """
 
 import numpy as np
@@ -13,33 +28,121 @@ from scipy.optimize import minimize
 
 from biphoton import states, tomography
 
+_LOWER = np.tril_indices(4, -1)
+
+# Evaluation budget of the L-BFGS and Nelder-Mead fits, and the number of
+# projected-gradient steps.
+MAX_EVALS = 200_000
+PG_STEPS = 1_000
+
 
 def objective(rho, raw_counts, scale):
     """Gaussian-approximated Poisson negative log-likelihood of the counts
     under rho, each setting's variance its model count clamped below at
     1e-9 * scale."""
+    return objective_gradient(rho, raw_counts, scale)[0]
+
+
+def objective_gradient(rho, raw_counts, scale):
+    """(f, G): the objective and its gradient G = sum_nu df/dp_nu P_nu over
+    the Hermitian matrices, p_nu = Tr(P_nu rho)."""
     model = scale * tomography.expected_probabilities(rho)
-    var = np.maximum(model, 1e-9 * scale)
-    return float(np.sum((model - raw_counts) ** 2 / (2 * var)))
+    floor = 1e-9 * scale
+    free = model > floor
+    var = np.where(free, model, floor)
+    f = float(np.sum((model - raw_counts) ** 2 / (2 * var)))
+    dfdp = scale * np.where(
+        free, (1 - (raw_counts / var) ** 2) / 2, (model - raw_counts) / floor
+    )
+    return f, np.einsum("n,nij->ij", dfdp, tomography.PROJECTORS)
 
 
-def _neg_log_likelihood(params, raw_counts, scale):
-    return objective(tomography._rho_from_params(params), raw_counts, scale)
+def certificate(rho, raw_counts, scale):
+    """Tr(G rho) - lambda_min(G), an upper bound on f(rho) - f* for the
+    convex objective over the density matrices."""
+    _, g = objective_gradient(rho, raw_counts, scale)
+    return float(np.trace(g @ rho).real - np.linalg.eigvalsh(g)[0])
 
 
-def nelder_mead_fit(cv, max_evals=200_000):
+# --- Cholesky parametrization --------------------------------------------------
+# 4 real diagonal parameters followed by (re, im) pairs for the 6
+# strictly-lower entries of T in row-major order.
+
+
+def t_matrix(params):
+    t = np.diag(params[:4]).astype(complex)
+    t[_LOWER] = params[4::2] + 1j * params[5::2]
+    return t
+
+
+def rho_from_params(params):
+    t = t_matrix(params)
+    rho = t @ t.conj().T
+    tr = np.trace(rho).real
+    if tr <= 0:
+        return states.totally_mixed()
+    return rho / tr
+
+
+def params_from_rho(rho):
+    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    w = np.clip(w, 0, None)
+    rho_psd = (v * w) @ v.conj().T
+    rho_psd /= np.trace(rho_psd).real
+    t = np.linalg.cholesky(rho_psd + 1e-10 * np.eye(4))
+    params = np.empty(16)
+    params[:4] = np.diag(t).real
+    params[4::2] = t[_LOWER].real
+    params[5::2] = t[_LOWER].imag
+    return params
+
+
+def neg_log_likelihood(params, raw_counts, scale):
+    """The objective and its gradient in the 16 parameters. With
+    G = sum_nu df/dp_nu P_nu, the gradient in T is
+    2 (G - Tr(G rho) I) T / Tr(T T^dag)."""
+    t = t_matrix(params)
+    a = t @ t.conj().T
+    tr = np.trace(a).real
+    rho = a / tr
+    f, g = objective_gradient(rho, raw_counts, scale)
+    dfdt = 2 * (g - np.trace(g @ rho).real * np.eye(4)) @ t / tr
+    grad = np.empty(16)
+    grad[:4] = np.diag(dfdt).real
+    grad[4::2] = dfdt[_LOWER].real
+    grad[5::2] = dfdt[_LOWER].imag
+    return f, grad
+
+
+def lbfgs_fit(cv):
+    """(rho, converged) from one L-BFGS-B run on a CountVector."""
+    res = minimize(
+        neg_log_likelihood,
+        params_from_rho(tomography.linear_reconstruct(cv)),
+        args=(cv.counts, cv.total_scale),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxfun": MAX_EVALS, "maxiter": MAX_EVALS, "ftol": 1e-12, "gtol": 1e-8},
+    )
+    return rho_from_params(res.x), bool(res.success)
+
+
+def nelder_mead_fit(cv):
     """(rho, converged) from the restarted simplex search on a CountVector."""
     raw, scale = cv.counts, cv.total_scale
-    start = tomography._params_from_rho(tomography.linear_reconstruct(cv))
+
+    def f(params):
+        return objective(rho_from_params(params), raw, scale)
+
+    start = params_from_rho(tomography.linear_reconstruct(cv))
     best = None
-    for x0 in (start, tomography._params_from_rho(states.totally_mixed())):
+    for x0 in (start, params_from_rho(states.totally_mixed())):
         res = minimize(
-            _neg_log_likelihood,
+            f,
             x0,
-            args=(raw, scale),
             method="Nelder-Mead",
             options={
-                "maxfev": max_evals,
+                "maxfev": MAX_EVALS,
                 "fatol": 1e-10,
                 "xatol": 1e-10,
                 "adaptive": True,
@@ -49,4 +152,44 @@ def nelder_mead_fit(cv, max_evals=200_000):
             best = res
         if res.success:
             break
-    return tomography._rho_from_params(best.x), bool(best.success)
+    return rho_from_params(best.x), bool(best.success)
+
+
+# --- projected gradient --------------------------------------------------------
+
+
+def project_to_states(h):
+    """The density matrix nearest the Hermitian part of h in Frobenius norm:
+    its eigenvalues projected onto the probability simplex."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    u = w[::-1]
+    excess = (np.cumsum(u) - 1) / np.arange(1, 5)
+    shift = excess[np.nonzero(u > excess)[0][-1]]
+    return (v * np.clip(w - shift, 0, None)) @ v.conj().T
+
+
+def projected_gradient_fit(cv):
+    """rho after PG_STEPS accelerated projected-gradient steps with
+    backtracking on the step size and a momentum restart whenever the
+    objective rises, from the projected linear reconstruction."""
+    raw, scale = cv.counts, cv.total_scale
+    rho = project_to_states(tomography.linear_reconstruct(cv))
+    f = objective(rho, raw, scale)
+    y, theta, step = rho, 1.0, 1.0 / scale
+    for _ in range(PG_STEPS):
+        f_y, g_y = objective_gradient(y, raw, scale)
+        while True:
+            nxt = project_to_states(y - step * g_y)
+            d = nxt - y
+            f_nxt = objective(nxt, raw, scale)
+            if f_nxt <= f_y + np.vdot(g_y, d).real + np.vdot(d, d).real / (2 * step):
+                break
+            step /= 2
+        if f_nxt > f:
+            y, theta = rho, 1.0
+            continue
+        theta_next = (1 + np.sqrt(1 + 4 * theta**2)) / 2
+        y = nxt + (theta - 1) / theta_next * (nxt - rho)
+        rho, f, theta = nxt, f_nxt, theta_next
+        step *= 1.1
+    return rho
