@@ -6,8 +6,13 @@ Subcommands:
     sweep --config FILE --out FILE  analytic (eta, power) sweep tables
     metrics <file>                  metrics of a serialized density matrix
 
-Exit codes: 0 success, 2 parse/config error, 3 validation or degenerate
-input, 4 optimizer non-convergence. tomo reports every failing file and
+simulate and sweep override config keys with --seed and --alpha; simulate
+also takes --eta (source.eta) and --scale (simulate.scale), which sweep
+does not read.
+
+Exit codes: 0 success, 2 parse/config or I/O error, 3 validation or
+degenerate input, 4 optimizer non-convergence. tomo reports every failing
+file, including one whose stem repeats an earlier file's (exit 2), and
 exits with the largest code among them.
 """
 
@@ -34,6 +39,7 @@ _ERROR_EXITS = (
     ((ParseError, ConfigError), EXIT_PARSE, "parse error"),
     ((ValidationError, DegenerateInputError), EXIT_VALIDATION, "validation error"),
     ((ConvergenceError,), EXIT_NONCONVERGED, "optimizer did not converge"),
+    ((OSError,), EXIT_PARSE, "I/O error"),
 )
 
 
@@ -62,8 +68,9 @@ def _build_parser():
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--alpha", type=float, help="override source.alpha")
-        p.add_argument("--eta", type=float, help="override source.eta")
-        p.add_argument("--scale", type=float, help="override simulate.scale")
+        if name == "simulate":  # sweep takes eta from sweep.eta_list and samples no counts
+            p.add_argument("--eta", type=float, help="override source.eta")
+            p.add_argument("--scale", type=float, help="override simulate.scale")
 
     p_metrics = sub.add_parser("metrics", help="metrics of a density-matrix file")
     p_metrics.add_argument("file")
@@ -105,7 +112,7 @@ def main(argv=None):
         if args.command == "metrics":
             print(pipeline.format_metrics(pipeline.run_metrics(args.file)))
             return EXIT_OK
-    except BiphotonError as exc:
+    except (BiphotonError, OSError) as exc:
         code, prefix = _classify(exc)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

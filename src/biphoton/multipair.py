@@ -33,10 +33,11 @@ with no truncation of the pair-number series. At low power R is about
 alpha**2 mu, a small difference of terms near 1. The gap s = 2 w1 - w2 is
 eta alpha**2/2 (HH), 0 (HV) or eta alpha**2/4 (HR), so the same rate reads
 
-    R = (1 - exp(-mu w1))**2 + exp(-2 mu w1) (exp(mu s) - 1),
+    R = (1 - exp(-mu w1))**2 + exp(-mu w2) (1 - exp(-mu s)),
 
-a sum of two non-negative terms. The code evaluates it through expm1 with
-w1 and s formed from alpha directly, so no power loses digits to
+a sum of two non-negative terms whose factors all lie in [0, 1], so no
+finite mu overflows it. The code evaluates it through expm1 and exp with
+w1 and s formed from alpha directly, so no term loses digits to
 cancellation. In the crossed class s = 0: each pair can reach at most one
 of the two crossed detectors, and R_HV is the product of the arms' single
 rates.
@@ -58,6 +59,7 @@ from .errors import DegenerateInputError
 from . import states, tomography
 
 CLASSES = ("HH", "HV", "HR")
+_MC_BATCH = 1_000_000  # shots per Monte Carlo batch; each batch seeds its own stream
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class SourceParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError(f"mu={self.mu} must be >= 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu={self.mu} must be finite and >= 0")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha={self.alpha} must be in (0, 1]")
         if not 0 <= self.eta <= 1:
@@ -143,7 +145,7 @@ def rates_primed(p):
     for cls in CLASSES:
         w1, gap = _pair_factors(p.alpha, p.eta, cls)
         e1 = math.expm1(-p.mu * w1)
-        vals.append(e1 * e1 + (1 + e1) ** 2 * math.expm1(p.mu * gap))
+        vals.append(e1 * e1 - math.exp(-p.mu * (2 * w1 - gap)) * math.expm1(-p.mu * gap))
     return RateTriple(*vals)
 
 
@@ -179,7 +181,7 @@ def projection_probabilities_16(rates):
     return tomography.expected_probabilities(states.werner(g))
 
 
-def monte_carlo_rates(p, shots, seed, batch_size=1_000_000):
+def monte_carlo_rates(p, shots, seed):
     """Monte Carlo estimate of the three class rates under the detector model.
 
     Per shot: x ~ Poisson(mu) pairs; each pair lands fully in the window
@@ -197,7 +199,7 @@ def monte_carlo_rates(p, shots, seed, batch_size=1_000_000):
     done = 0
     batch_idx = 0
     while done < shots:
-        n = min(batch_size, shots - done)
+        n = min(_MC_BATCH, shots - done)
         # independent, reproducible stream per batch
         rng = np.random.default_rng([seed, batch_idx])
         x = rng.poisson(p.mu, n)

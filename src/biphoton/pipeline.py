@@ -11,7 +11,7 @@ summary carries the package version and its file and error counts.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,18 +70,14 @@ def _float_list(raw, key):
 class RunConfig:
     """Resolved configuration for one pipeline invocation."""
 
-    seed: int = 0
-    source: SourceParams = field(
-        default_factory=lambda: SourceParams(mu=0.0, alpha=0.01, eta=0.03)
-    )
-    calibration: PowerCalibration = field(
-        default_factory=lambda: PowerCalibration(pairs_per_power=0.01)
-    )
-    eta_list: list = field(default_factory=list)
-    sweep_grid: list = field(default_factory=list)
-    simulate_grid: list = field(default_factory=list)
-    scale: float = 1e6
-    raw: dict = field(default_factory=dict)
+    seed: int
+    source: SourceParams
+    calibration: PowerCalibration
+    eta_list: list
+    sweep_grid: list
+    simulate_grid: list
+    scale: float
+    raw: dict
 
     @property
     def config_hash(self):
@@ -95,20 +91,25 @@ def build_config(keys, overrides=None):
     merged.update(keys)
     if overrides:
         merged.update({k: str(v) for k, v in overrides.items() if v is not None})
+    eta_list, sweep_grid, simulate_grid = (
+        _float_list(merged[key], key) if key in merged else []
+        for key in ("sweep.eta_list", "sweep.power_grid", "simulate.power_grid")
+    )
     try:
-        source = SourceParams(
-            mu=0.0,
-            alpha=float(merged["source.alpha"]),
-            eta=float(merged["source.eta"]),
-        )
-        cal = PowerCalibration(
-            pairs_per_power=float(merged["calibration.pairs_per_power"]),
-            power_unit=merged["calibration.power_unit"],
-        )
         cfg = RunConfig(
             seed=int(merged["seed"]),
-            source=source,
-            calibration=cal,
+            source=SourceParams(
+                mu=0.0,
+                alpha=float(merged["source.alpha"]),
+                eta=float(merged["source.eta"]),
+            ),
+            calibration=PowerCalibration(
+                pairs_per_power=float(merged["calibration.pairs_per_power"]),
+                power_unit=merged["calibration.power_unit"],
+            ),
+            eta_list=eta_list,
+            sweep_grid=sweep_grid,
+            simulate_grid=simulate_grid,
             scale=float(merged["simulate.scale"]),
             raw=merged,
         )
@@ -116,16 +117,11 @@ def build_config(keys, overrides=None):
         raise ConfigError(f"bad config value: {exc}") from exc
     if not (np.isfinite(cfg.scale) and cfg.seed >= 0):
         raise ConfigError(f"simulate.scale={cfg.scale!r} must be finite, seed={cfg.seed} >= 0")
-    if "sweep.eta_list" in merged:
-        cfg.eta_list = _float_list(merged["sweep.eta_list"], "sweep.eta_list")
-        if not all(0 <= eta <= 1 for eta in cfg.eta_list):
-            raise ConfigError("sweep.eta_list values must lie in [0, 1]")
-    if "sweep.power_grid" in merged:
-        cfg.sweep_grid = _float_list(merged["sweep.power_grid"], "sweep.power_grid")
-    if "simulate.power_grid" in merged:
-        cfg.simulate_grid = _float_list(merged["simulate.power_grid"], "simulate.power_grid")
-    if not all(0 < p < np.inf for p in cfg.sweep_grid + cfg.simulate_grid):
-        raise ConfigError("power grid values must be positive and finite")
+    if not all(0 <= eta <= 1 for eta in eta_list):
+        raise ConfigError("sweep.eta_list values must lie in [0, 1]")
+    mus = [cfg.calibration.pairs_per_power * p for p in sweep_grid + simulate_grid]
+    if not all(0 < mu < np.inf for mu in mus):
+        raise ConfigError("power grid values must be positive and give a finite mu")
     return cfg
 
 
@@ -186,7 +182,7 @@ class AnalysisRecord:
 
 
 def analyze_counts(cv, label):
-    rho = tomography.mle_reconstruct(cv)
+    rho, steps = tomography.mle_reconstruct(cv)
     metrics = states.compute_metrics(rho)
     # RH is the linear-circular consistency setting: 0.25 for Werner states
     rh_index = tomography.CANONICAL_LABELS.index("RH")
@@ -195,7 +191,7 @@ def analyze_counts(cv, label):
         rho=rho,
         metrics=metrics,
         min_eigenvalue=states.validate(rho).min_eigenvalue,
-        optimizer_evals=getattr(tomography.mle_reconstruct, "last_nfev", 0),
+        optimizer_evals=steps,
         hr_consistency=float(cv.counts[rh_index] / cv.total_scale),
     )
 
@@ -214,17 +210,24 @@ def run_tomo(files, out_dir):
     """Reconstruct every count file; failures are collected, not fatal.
 
     Returns (records sorted by label, list of (filename, exception) errors).
-    A ConvergenceError entry carries the optimizer's best state.
+    A ConvergenceError entry carries the optimizer's best state. Reports
+    are named by file stem, so a file whose stem an earlier one already
+    took is a ParseError.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, errors = [], []
+    first = {}
     for fname in files:
         label = Path(fname).stem
         try:
+            if label in first:
+                raise ParseError(f"{fname}: stem {label!r} repeats that of {first[label]}")
+            first[label] = fname
             cv = tomography.read_counts(fname)
             record = analyze_counts(cv, label)
-        except (ParseError, ValidationError, DegenerateInputError, ConvergenceError) as exc:
+        except (OSError, ParseError, ValidationError, DegenerateInputError,
+                ConvergenceError) as exc:
             errors.append((str(fname), exc))
             continue
         records.append(record)

@@ -71,7 +71,7 @@ class Diagnostics:
 def validate(rho):
     """Diagnose Hermiticity, trace and positivity of a 4x4 array.
 
-    Returns a Diagnostics record; never raises.
+    Returns a Diagnostics record; raises ValueError only if rho is not 4x4.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):

@@ -165,8 +165,9 @@ def mle_reconstruct(cv):
     Vandenberghe, Convex Optimization (2004), ch. 11) takes damped Newton
     steps on F = f - mu log det rho, so rho stays positive definite, and
     ends once 4 mu, a bound on f - f* at a centered iterate, is at most
-    1e-10 max(1, f). Raises ConvergenceError with the last state and its
-    certificate gap if the Newton-step budget runs out.
+    1e-10 max(1, f). Returns (rho, steps), steps being the Newton steps
+    taken. Raises ConvergenceError with the last state and its certificate
+    gap if the Newton-step budget runs out.
     """
     counts, scale = cv.counts, cv.total_scale
     # A singular linear estimate (a rank-deficient one has round-off eigenvalues
@@ -196,8 +197,7 @@ def mle_reconstruct(cv):
             t /= 2
         else:  # centered, or stalled in rounding
             if 4 * mu <= _REL_TOL * max(1.0, f):
-                setattr(mle_reconstruct, "last_nfev", steps)
-                return _rho(x)
+                return _rho(x), steps
             mu /= 100
     raise ConvergenceError(f"barrier Newton fit did not converge within {_MAX_STEPS} steps",
                            best_state=_rho(x), gap=_gap(x, _likelihood(x, counts, scale)[1]))

@@ -3,12 +3,14 @@
 These are the pair-number series the closed forms in biphoton.multipair
 replace: the multinomial window-split weights, the double loop over splits
 at fixed pair number, and the Poisson-weighted series cut at a finite pair
-number. None of them is used by the package itself.
+number. Next to them sits the earlier closed form, whose exp(mu s) factor
+overflows once mu s passes about 709. None of them is used by the package
+itself.
 """
 
 import math
 
-from biphoton.multipair import CLASSES
+from biphoton.multipair import CLASSES, _pair_factors
 
 
 def poisson_pmf(x, mu):
@@ -75,3 +77,14 @@ def poisson_series(mu, per_x):
 def series_rates(mu, alpha, eta, x_max=60):
     """(HH, HV, HR) rates as the Poisson-weighted literal series to x_max pairs."""
     return tuple(poisson_series(mu, split_sums(alpha, eta, cls, x_max)) for cls in CLASSES)
+
+
+def expm1_rates(p):
+    """(HH, HV, HR) rates as e1**2 + (1 + e1)**2 expm1(mu s), e1 = expm1(-mu w1):
+    the closed form as first written, exact but overflowing at large mu s."""
+    out = []
+    for cls in CLASSES:
+        w1, gap = _pair_factors(p.alpha, p.eta, cls)
+        e1 = math.expm1(-p.mu * w1)
+        out.append(e1 * e1 + (1 + e1) ** 2 * math.expm1(p.mu * gap))
+    return tuple(out)

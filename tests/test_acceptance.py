@@ -176,13 +176,13 @@ def test_criterion_8_tomography_round_trip():
     for _ in range(5):
         rho = random_state(rng)
         probs = tomography.expected_probabilities(rho)
-        est = tomography.mle_reconstruct(tomography.CountVector(probs * 1e6, 1e6))
+        est, _ = tomography.mle_reconstruct(tomography.CountVector(probs * 1e6, 1e6))
         ok &= np.max(np.abs(est - rho)) < 1e-3
         ok &= states.validate(est).ok
     n_good = 0
     for seed in range(20):
         cv = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=seed)
-        est = tomography.mle_reconstruct(cv)
+        est, _ = tomography.mle_reconstruct(cv)
         ok &= states.validate(est).ok
         if states.fidelity(est, states.bell_state()) >= 0.99:
             n_good += 1
@@ -195,7 +195,7 @@ def test_criterion_9_calibration_anchor():
     ok = True
     for seed in (0, 1, 2):
         cv = tomography.simulate_counts(states.werner(0.12), 1e6, seed=seed)
-        est = tomography.mle_reconstruct(cv)
+        est, _ = tomography.mle_reconstruct(cv)
         f = states.fidelity(est, states.bell_state())
         ok &= abs(f - 0.91) <= 0.01
     _report(9, "simulate+reconstruct at g=0.12 gives fidelity 0.91 +/- 0.01", ok)

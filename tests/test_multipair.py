@@ -271,6 +271,16 @@ class TestRates:
         assert abs(r1.r_hv - r0.r_hv) < 1e-12
         assert abs(r1.r_hr - r0.r_hr) < 1e-12
 
+    def test_saturate_at_high_mu(self):
+        # mu s = 1250 in the HH class, where exp(mu s) alone overflows
+        r = mp.rates_primed(SourceParams(mu=1e4, alpha=0.5, eta=1.0))
+        assert (r.r_hh, r.r_hv, r.r_hr) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_nonfinite_mu(self, mu):
+        with pytest.raises(ValueError, match="finite"):
+            SourceParams(mu=mu, alpha=0.1)
+
     def test_truncation_stability(self):
         # the closed form has no truncation; it must match the literal series
         for mu in (0.1, 0.5, 1.0):

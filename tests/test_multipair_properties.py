@@ -1,5 +1,5 @@
 """Property tests of the closed-form multi-pair rates over the whole
-parameter domain: alpha in (0, 1], eta in [0, 1], mu in [0, 50]."""
+parameter domain: alpha in (0, 1], eta in [0, 1], finite mu up to 1e300."""
 
 import pytest
 from hypothesis import given
@@ -20,7 +20,7 @@ def params(max_mu):
     )
 
 
-@given(params(50.0))
+@given(params(1e300))
 def test_rates_are_probabilities_ordered_by_class(p):
     # every rate is a sum of non-negative terms, so none rounds below 0,
     # even where mu*alpha is far below the rounding unit
@@ -30,7 +30,7 @@ def test_rates_are_probabilities_ordered_by_class(p):
     assert min(r.r_hh, r.r_hv, r.r_hr) >= 0
 
 
-@given(params(50.0))
+@given(params(1e300))
 def test_effective_g_in_unit_interval(p):
     r = mp.rates_primed(p)
     try:
@@ -47,3 +47,11 @@ def test_closed_form_matches_poisson_series(p):
     for got, cls in zip((r.r_hh, r.r_hv, r.r_hr), mp.CLASSES):
         per_x = [mp.class_prob_primed(x, p.alpha, p.eta, cls) for x in range(61)]
         assert got == pytest.approx(mo.poisson_series(p.mu, per_x), rel=0, abs=1e-13)
+
+
+@given(params(50.0))
+def test_closed_form_matches_its_expm1_form(p):
+    # the rate as first written, where its exp(mu s) factor cannot overflow
+    r = mp.rates_primed(p)
+    for got, want in zip((r.r_hh, r.r_hv, r.r_hr), mo.expm1_rates(p)):
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-300)

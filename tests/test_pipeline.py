@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biphoton import cli, pipeline, states, tomography
-from biphoton.errors import ConfigError, ConvergenceError
+from biphoton.errors import ConfigError, ConvergenceError, ParseError
 from biphoton.multipair import SourceParams, effective_g, rates_primed
 
 
@@ -151,6 +151,36 @@ class TestTomoBatch:
         rho = states.parse_density_matrix(report)
         assert np.max(np.abs(rho - records[0].rho)) < 1e-15
         assert "fidelity=" in report and "werner_g=" in report
+
+    def test_summary_counts_the_fit_steps(self, tmp_path):
+        cfg = pipeline.load_config(
+            write_config(tmp_path / "run.cfg", "simulate.power_grid=1,50\n")
+        )
+        paths = pipeline.run_simulate(cfg, tmp_path / "counts")
+        pipeline.run_tomo(paths, tmp_path / "out")
+        header, rows = pipeline.read_table(tmp_path / "out" / "summary.csv")
+        column = header.index("optimizer_evals")
+        assert [r[0] for r in rows] == [p.stem for p in paths]
+        for path, row in zip(paths, rows):
+            _, steps = tomography.mle_reconstruct(tomography.read_counts(path))
+            assert steps >= 1 and float(row[column]) == steps
+
+    def test_repeated_stem_is_a_parse_error(self, tmp_path):
+        files = []
+        for sub, g in (("a", 0.3), ("b", 0.6)):
+            (tmp_path / sub).mkdir()
+            probs = tomography.expected_probabilities(states.werner(g))
+            files.append(tmp_path / sub / "c.txt")
+            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), files[-1])
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert [r.label for r in records] == ["c"]
+        assert records[0].metrics.werner_g == pytest.approx(0.3, abs=1e-6)
+        ((fname, exc),) = errors
+        assert fname == str(files[1])
+        assert isinstance(exc, ParseError)
+        assert str(files[0]) in str(exc) and str(files[1]) in str(exc)
+        report = states.parse_density_matrix((tmp_path / "out" / "c_report.txt").read_text())
+        assert np.max(np.abs(report - records[0].rho)) < 1e-15
 
     def test_summary_carries_no_config_provenance(self, tmp_path):
         # tomo reads no config, so its summary names no seed or config hash
@@ -316,9 +346,12 @@ class TestCli:
             ("sweep", [], "sweep.eta_list=0.5,1.5\n", cli.EXIT_PARSE),
             ("sweep", [], "sweep.power_grid=1,nan\n", cli.EXIT_PARSE),
             ("sweep", [], "calibration.pairs_per_power=inf\n", cli.EXIT_PARSE),
+            ("sweep", [], "calibration.pairs_per_power=1e300\nsweep.power_grid=1e10\n",
+             cli.EXIT_PARSE),
             ("simulate", ["--scale", "1e300"], "", cli.EXIT_VALIDATION),
         ],
-        ids=["scale-inf", "seed-negative", "eta-above-one", "grid-nan", "pairs-inf", "scale-1e300"],
+        ids=["scale-inf", "seed-negative", "eta-above-one", "grid-nan", "pairs-inf", "mu-inf",
+             "scale-1e300"],
     )
     def test_bad_values_get_exit_code(self, tmp_path, capsys, command, args, extra, code):
         cfg_path = write_config(
@@ -330,6 +363,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--eta", "--scale"])
+    def test_only_simulate_takes_eta_and_scale(self, tmp_path, capsys, flag):
+        cfg_path = write_config(
+            tmp_path / "run.cfg",
+            "simulate.power_grid=10\nsweep.eta_list=0.03\nsweep.power_grid=10\n",
+        )
+        sweep = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([*sweep, flag, "0.5"])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+        simulate = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "c")]
+        assert cli.main([*simulate, flag, "0.5"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["tomo", "metrics", "simulate", "sweep"])
+    def test_unreadable_input_exit_parse(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.txt")
+        out = tmp_path / "out"
+        good = tmp_path / "good.txt"
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        argv = {
+            "tomo": ["tomo", str(good), missing, "--out", str(out)],
+            "metrics": ["metrics", missing],
+            "simulate": ["simulate", "--config", missing, "--out", str(out)],
+            "sweep": ["sweep", "--config", missing, "--out", str(tmp_path / "s.csv")],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("I/O error: ") and "missing.txt" in err
+        assert "Traceback" not in err
+        if command == "tomo":
+            assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
+            _, rows = pipeline.read_table(out / "summary.csv")
+            assert [r[0] for r in rows] == ["good"]
 
     def test_tomo_nonconvergence_keeps_batch(self, tmp_path, monkeypatch):
         probs = tomography.expected_probabilities(states.werner(0.3))
@@ -366,6 +436,6 @@ class TestEndToEndConsistency:
             cfg.seed = seed
             (path,) = pipeline.run_simulate(cfg, tmp_path / f"s{seed}")
             cv = tomography.read_counts(path)
-            fits.append(states.werner_fit(tomography.mle_reconstruct(cv)))
+            fits.append(states.werner_fit(tomography.mle_reconstruct(cv)[0]))
         g_model = effective_g(rates_primed(SourceParams(mu=mu, alpha=0.005, eta=1.0)))
         assert abs(float(np.median(fits)) - g_model) < 0.02

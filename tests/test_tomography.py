@@ -169,25 +169,25 @@ class TestLinearReconstruct:
 class TestMleReconstruct:
     def test_noiseless_werner(self):
         cv = tomography.CountVector(tomography.expected_probabilities(states.werner(0.3)) * 1e6, 1e6)
-        est = tomography.mle_reconstruct(cv)
+        est, _ = tomography.mle_reconstruct(cv)
         assert states.werner_fit(est) == pytest.approx(0.3, abs=1e-3)
 
     def test_noisy_bell_high_fidelity(self):
         for seed in range(5):
             cv = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=seed)
-            est = tomography.mle_reconstruct(cv)
+            est, _ = tomography.mle_reconstruct(cv)
             assert states.fidelity(est, states.bell_state()) >= 0.99
 
     def test_uniform_counts_give_maximally_mixed(self):
         # uniform data across all 16 settings: scale is the 4-setting sum
         cv = tomography.CountVector(np.full(16, 2.5e4), 1e5)
-        est = tomography.mle_reconstruct(cv)
+        est, _ = tomography.mle_reconstruct(cv)
         assert np.max(np.abs(est - states.totally_mixed())) < 1e-2
 
     def test_output_always_physical(self):
         for seed in range(5):
             cv = tomography.simulate_counts(states.werner(0.5), 2e3, seed=seed)
-            est = tomography.mle_reconstruct(cv)
+            est, _ = tomography.mle_reconstruct(cv)
             diag = states.validate(est)
             assert diag.ok
             assert diag.min_eigenvalue >= -1e-15
@@ -195,7 +195,7 @@ class TestMleReconstruct:
     def test_never_worse_than_projected_linear_start(self):
         cv = tomography.simulate_counts(states.werner(0.2), 5e3, seed=9)
         start = to.rho_from_params(to.params_from_rho(tomography.linear_reconstruct(cv)))
-        est = tomography.mle_reconstruct(cv)
+        est, _ = tomography.mle_reconstruct(cv)
         assert to.objective(est, cv.counts, cv.total_scale) <= to.objective(
             start, cv.counts, cv.total_scale
         ) + 1e-6
@@ -218,7 +218,7 @@ class TestMleReconstruct:
             errs = []
             for seed in range(20):
                 cv = tomography.simulate_counts(states.werner(g_true), scale, seed=seed)
-                est = tomography.mle_reconstruct(cv)
+                est, _ = tomography.mle_reconstruct(cv)
                 errs.append(abs(states.werner_fit(est) - g_true))
             medians.append(float(np.median(errs)))
         assert medians[0] > medians[1] > medians[2]
@@ -303,7 +303,7 @@ def test_fit_matches_nelder_mead_oracle(cv):
     rho_nm, converged = to.nelder_mead_fit(cv)
     assert converged
     f_nm = to.objective(rho_nm, cv.counts, cv.total_scale)
-    f = to.objective(tomography.mle_reconstruct(cv), cv.counts, cv.total_scale)
+    f = to.objective(tomography.mle_reconstruct(cv)[0], cv.counts, cv.total_scale)
     assert f <= f_nm + 1e-8 * max(1.0, f_nm)
 
 
@@ -323,7 +323,7 @@ def test_boundary_count_files_converge(tmp_path, counts):
     path = tmp_path / "counts.txt"
     path.write_text("".join(f"{lab},{n}\n" for lab, n in zip(tomography.CANONICAL_LABELS, counts)))
     cv = tomography.read_counts(path)
-    rho = tomography.mle_reconstruct(cv)
+    rho, _ = tomography.mle_reconstruct(cv)
     assert states.validate(rho).ok
     w, v = np.linalg.eigh(tomography.linear_reconstruct(cv))
     clipped = (v * np.clip(w, 0, None)) @ v.conj().T
@@ -352,7 +352,7 @@ def certified_cases():
 
 @pytest.mark.parametrize("cv", certified_cases())
 def test_fit_never_above_lbfgs_or_projected_gradient(cv):
-    f = to.objective(tomography.mle_reconstruct(cv), cv.counts, cv.total_scale)
+    f = to.objective(tomography.mle_reconstruct(cv)[0], cv.counts, cv.total_scale)
     f_lbfgs = to.objective(to.lbfgs_fit(cv)[0], cv.counts, cv.total_scale)
     f_pg = to.objective(to.projected_gradient_fit(cv), cv.counts, cv.total_scale)
     assert f <= min(f_lbfgs, f_pg) + 1e-8 * max(1.0, f)
@@ -360,7 +360,7 @@ def test_fit_never_above_lbfgs_or_projected_gradient(cv):
 
 def test_low_power_fit_reaches_the_optimum():
     cv = saddle_case()
-    rho = tomography.mle_reconstruct(cv)
+    rho, _ = tomography.mle_reconstruct(cv)
     assert states.validate(rho).ok
     assert to.objective(rho, cv.counts, cv.total_scale) <= 0.17619
     assert states.werner_fit(rho) == pytest.approx(0.020345, abs=1e-4)

@@ -29,7 +29,7 @@ def test_mle_always_physical(counts):
     scale = tomography.default_total_scale(counts)
     assume(scale > 0)
     cv = tomography.CountVector(counts, scale)
-    rho = tomography.mle_reconstruct(cv)
+    rho, _ = tomography.mle_reconstruct(cv)
     assert states.validate(rho).ok
     f = to.objective(rho, counts, scale)
     assert f <= to.objective(to.lbfgs_fit(cv)[0], counts, scale) + 1e-8 * max(1.0, f)
