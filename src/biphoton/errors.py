@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that turns undecodable input into one of them."""
+
+from pathlib import Path
 
 
 class BiphotonError(Exception):
@@ -35,3 +38,11 @@ class ConvergenceError(BiphotonError):
         super().__init__(message)
         self.best_state = best_state
         self.gap = gap
+
+
+def read_text(path):
+    """Contents of a UTF-8 text file; bytes that do not decode are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

@@ -164,7 +164,7 @@ def effective_g(rates):
     denom = rates.r_hh + rates.r_hv
     if denom <= 0:
         raise DegenerateInputError("zero coincidence rates: g is undefined")
-    return float(np.clip(2 * rates.r_hv / denom, 0.0, 1.0))
+    return float(min(1.0, max(0.0, 2 * rates.r_hv / denom)))
 
 
 def effective_density_matrix(mu):

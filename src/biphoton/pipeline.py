@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInputError,
     ParseError,
     ValidationError,
+    read_text,
 )
 from .multipair import (
     PowerCalibration,
@@ -44,15 +45,14 @@ DEFAULTS = {
 def parse_config_file(path):
     """Read a flat key=value config file into a dict of strings."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key=value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key=value'")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -310,23 +310,20 @@ def run_sweep(cfg, out_path):
             params = replace(cfg.source, mu=mu, eta=eta)
             rates = rates_primed(params)
             g = effective_g(rates)
-            rho = states.werner(g)
+            m = states.werner_metrics(g)
             rows.append([
                 float(power), float(mu), float(eta), cfg.source.alpha,
                 rates.r_hh, rates.r_hv, rates.r_hr,
-                g, states.tangle(rho), states.linear_entropy(rho),
-                states.fidelity(rho, states.bell_state()),
+                g, m.tangle, m.linear_entropy, m.fidelity,
             ])
     out_path = Path(out_path)
     meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
     write_table(out_path, SWEEP_HEADER, rows, meta)
 
     fig2_rows = []
-    for g in np.linspace(0.0, 1.0, 201):
-        rho = states.werner(float(g))
-        fig2_rows.append(
-            ["curve", float(g), states.linear_entropy(rho), states.tangle(rho)]
-        )
+    for g in np.linspace(0.0, 1.0, 201).tolist():
+        m = states.werner_metrics(g)
+        fig2_rows.append(["curve", g, m.linear_entropy, m.tangle])
     for row in rows:
         fig2_rows.append(["model", row[7], row[9], row[8]])
     fig2_path = out_path.with_name(out_path.stem + "_fig2" + out_path.suffix)
@@ -347,7 +344,7 @@ def run_sweep(cfg, out_path):
 
 def run_metrics(path):
     """Validate a serialized density matrix and compute its metrics."""
-    rho = states.parse_density_matrix(Path(path).read_text())
+    rho = states.parse_density_matrix(read_text(path))
     states.require_valid(rho)
     return states.compute_metrics(rho)
 

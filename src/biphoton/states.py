@@ -37,11 +37,30 @@ def totally_mixed():
     return np.eye(4, dtype=complex) / 4
 
 
-def werner(g):
-    """Mixture (1-g)*ideal + g*I/4 for mixing parameter g in [0, 1]."""
+def _check_mixing(g):
     if not 0 <= g <= 1:
         raise ValueError(f"mixing parameter g={g} outside [0, 1]")
+
+
+def werner(g):
+    """Mixture (1-g)*ideal + g*I/4 for mixing parameter g in [0, 1]."""
+    _check_mixing(g)
     return (1 - g) * ideal_bell() + g * totally_mixed()
+
+
+def werner_metrics(g):
+    """compute_metrics(werner(g)) in closed form: fidelity 1 - 3g/4, tangle
+    max(0, 1 - 3g/2)**2 (Wootters, PRL 80, 2245 (1998)), linear entropy
+    g(2 - g) and purity 1 - 3g(2 - g)/4."""
+    _check_mixing(g)
+    mixedness = g * (2 - g)
+    return StateMetrics(
+        fidelity=1 - 0.75 * g,
+        tangle=max(0.0, 1 - 1.5 * g) ** 2,
+        linear_entropy=mixedness,
+        purity=1 - 0.75 * mixedness,
+        werner_g=g,
+    )
 
 
 @dataclass(frozen=True)
@@ -202,10 +221,14 @@ def _parse_entry(token):
     try:
         if token.startswith("(") and token.endswith(")"):
             re_s, im_s = token[1:-1].split(",")
-            return complex(float(re_s), float(im_s))
-        return complex(token.replace("i", "j"))
+            z = complex(float(re_s), float(im_s))
+        else:
+            z = complex(token[:-1] + "j" if token.endswith("i") else token)
     except ValueError as exc:
         raise ParseError(f"bad matrix entry {token!r}") from exc
+    if not np.isfinite(z):
+        raise ParseError(f"matrix entry {token!r} is not finite")
+    return z
 
 
 def parse_density_matrix(text):

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateInputError,
     ParseError,
     ValidationError,
+    read_text,
 )
 
 _INV_SQRT2 = 1 / np.sqrt(2)
@@ -221,26 +222,25 @@ def read_counts(path):
     """Parse a 16-row count file into a CountVector whose total_scale is
     the computational-basis count sum."""
     seen = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'label,count'")
-            lab = parts[0].strip().upper()
-            if lab not in CANONICAL_LABELS:
-                raise ParseError(f"{path}:{lineno}: unknown label {lab!r}")
-            if lab in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate label {lab!r}")
-            try:
-                value = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
-            if not 0 <= value < np.inf:
-                raise ParseError(f"{path}:{lineno}: count must be finite and non-negative")
-            seen[lab] = value
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'label,count'")
+        lab = parts[0].strip().upper()
+        if lab not in CANONICAL_LABELS:
+            raise ParseError(f"{path}:{lineno}: unknown label {lab!r}")
+        if lab in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate label {lab!r}")
+        try:
+            value = float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
+        if not 0 <= value < np.inf:
+            raise ParseError(f"{path}:{lineno}: count must be finite and non-negative")
+        seen[lab] = value
     missing = [lab for lab in CANONICAL_LABELS if lab not in seen]
     if missing:
         raise ParseError(f"{path}: missing labels {missing}")

@@ -236,6 +236,29 @@ class TestSweep:
         assert row[4] == pytest.approx(rates.r_hh, rel=1e-12)
         assert row[7] == pytest.approx(effective_g(rates), rel=1e-12)
 
+    def test_closed_forms_match_the_matrix_metrics(self, sweep_cfg, tmp_path):
+        # the sweep takes its metrics from states.werner_metrics; the matrix
+        # path through states.werner is the oracle, at the bounds of test_states
+        def check(g, tangle, entropy, fidelity):
+            want = states.compute_metrics(states.werner(g))
+            assert abs(tangle - want.tangle) <= 1e-9
+            assert abs(entropy - want.linear_entropy) <= 1e-12
+            assert fidelity is None or abs(fidelity - want.fidelity) <= 1e-12
+
+        out = tmp_path / "sweep.csv"
+        rows = pipeline.run_sweep(sweep_cfg, out)
+        for row in rows:
+            check(row[7], row[8], row[9], row[10])
+        _, fig2 = pipeline.read_table(out.with_name("sweep_fig2.csv"))
+        curve = [r for r in fig2 if r[0] == "curve"]
+        model = [r for r in fig2 if r[0] == "model"]
+        assert [float(r[1]) for r in curve] == np.linspace(0.0, 1.0, 201).tolist()
+        assert [[float(c) for c in r[1:]] for r in model] == [
+            [row[7], row[9], row[8]] for row in rows
+        ]
+        for _, g, entropy, tangle in fig2:
+            check(float(g), float(tangle), float(entropy), None)
+
     def test_companion_tables_round_trip(self, sweep_cfg, tmp_path):
         out = tmp_path / "sweep.csv"
         rows = pipeline.run_sweep(sweep_cfg, out)
@@ -400,6 +423,41 @@ class TestCli:
             assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
             _, rows = pipeline.read_table(out / "summary.csv")
             assert [r[0] for r in rows] == ["good"]
+
+    @pytest.mark.parametrize("command", ["tomo", "metrics", "simulate", "sweep"])
+    def test_non_utf8_input_exit_parse(self, tmp_path, capsys, command):
+        binary = tmp_path / "bin.txt"
+        binary.write_bytes(b"\xff\xfeH\x00H\x00")
+        out = tmp_path / "out"
+        good = tmp_path / "good.txt"
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        argv = {
+            "tomo": ["tomo", str(good), str(binary), "--out", str(out)],
+            "metrics": ["metrics", str(binary)],
+            "simulate": ["simulate", "--config", str(binary), "--out", str(out)],
+            "sweep": ["sweep", "--config", str(binary), "--out", str(tmp_path / "s.csv")],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"parse error: {binary}") and "not UTF-8 text" in err
+        if command == "tomo":
+            assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
+            _, rows = pipeline.read_table(out / "summary.csv")
+            assert [r[0] for r in rows] == ["good"]
+
+    @pytest.mark.parametrize("entry", ["nan", "(nan,0)", "(0,inf)", "inf"])
+    def test_metrics_non_finite_entry_exit_parse(self, tmp_path, capsys, entry):
+        rows = states.format_density_matrix(states.werner(0.3)).splitlines()
+        cells = rows[2].split()
+        cells[1] = entry
+        rows[2] = " ".join(cells)
+        path = tmp_path / "state.txt"
+        path.write_text("\n".join(rows) + "\n")
+        assert cli.main(["metrics", str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"parse error: matrix entry {entry!r} is not finite\n"
 
     def test_tomo_nonconvergence_keeps_batch(self, tmp_path, monkeypatch):
         probs = tomography.expected_probabilities(states.werner(0.3))

@@ -162,6 +162,44 @@ class TestWernerTrajectory:
         assert states.linear_entropy(states.werner(2 / 3)) == pytest.approx(8 / 9, abs=1e-12)
 
 
+class TestWernerMetrics:
+    """The closed forms against the matrix path, which stays the oracle."""
+
+    TOL = 1e-12
+    # The matrix path takes the concurrence from square roots of eigenvalues, so
+    # its tangle carries the root of their round-off: 5.7e-13 on the grid below
+    # (at g = 5e-4), but up to about 3e-8 where the small eigenvalues of a
+    # nearly pure state sit at round-off (g near 1e-8).
+    GRID_TANGLE_TOL = 1e-9
+    ROOT_TANGLE_TOL = 1e-9 + 4 * np.sqrt(np.finfo(float).eps)
+
+    def assert_matches_matrix_path(self, g, tangle_tol):
+        got = states.werner_metrics(g)
+        want = states.compute_metrics(states.werner(g))
+        assert abs(got.tangle - want.tangle) <= tangle_tol
+        for field in ("fidelity", "linear_entropy", "purity", "werner_g"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= self.TOL, field
+
+    def test_dense_grid(self):
+        edges = [0.0, 1.0, 2 / 3, np.nextafter(2 / 3, 0), np.nextafter(2 / 3, 1)]
+        for g in [*np.linspace(0.0, 1.0, 2001).tolist(), *edges]:
+            self.assert_matches_matrix_path(float(g), self.GRID_TANGLE_TOL)
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_whole_domain(self, g):
+        self.assert_matches_matrix_path(g, self.ROOT_TANGLE_TOL)
+
+    def test_exact_values(self):
+        assert states.werner_metrics(0.0) == states.StateMetrics(1.0, 1.0, 0.0, 1.0, 0.0)
+        assert states.werner_metrics(1.0) == states.StateMetrics(0.25, 0.0, 1.0, 0.25, 1.0)
+        assert states.werner_metrics(np.nextafter(2 / 3, 1)).tangle == 0.0
+
+    @pytest.mark.parametrize("g", [-1e-12, 1 + 1e-12, float("nan")])
+    def test_domain(self, g):
+        with pytest.raises(ValueError):
+            states.werner_metrics(g)
+
+
 class TestValidate:
     def test_pass(self):
         assert states.validate(states.ideal_bell()).ok
