@@ -51,6 +51,16 @@ def _classify(exc):
     raise exc
 
 
+def _file_message(fname, exc):
+    """The message of a per-file tomo error, naming the file once: the
+    count-file errors already start with its path, and an OSError gives
+    only its reason."""
+    if isinstance(exc, OSError):
+        return f"{fname}: {exc.strerror or exc}"
+    message = str(exc)
+    return message if message.startswith(f"{fname}:") else f"{fname}: {message}"
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="biphoton",
@@ -97,7 +107,7 @@ def main(argv=None):
             for fname, exc in errors:
                 code, prefix = _classify(exc)
                 codes.append(code)
-                print(f"{prefix}: {fname}: {exc}", file=sys.stderr)
+                print(f"{prefix}: {_file_message(fname, exc)}", file=sys.stderr)
             return max(codes)
         if args.command == "simulate":
             cfg = pipeline.load_config(args.config, _overrides(args))

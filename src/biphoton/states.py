@@ -32,6 +32,9 @@ def ideal_bell():
     return np.outer(psi, psi.conj())
 
 
+_IDEAL = ideal_bell()
+
+
 def totally_mixed():
     """I/4, the maximally mixed two-qubit state."""
     return np.eye(4, dtype=complex) / 4
@@ -146,16 +149,14 @@ def concurrence(rho):
     """Wootters concurrence max(0, l1 - l2 - l3 - l4).
 
     The lk are the decreasing square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy); computed through the equivalent Hermitian
-    form sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho) so the spectrum is
-    real and non-negative up to round-off.
+    rho (sy x sy) rho* (sy x sy), taken as the singular values of
+    A = sqrt(rho) (sy x sy) sqrt(rho)*, since A A^dag is the Hermitian form
+    sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho). Singular values carry an
+    absolute error of about eps, where square roots of round-off
+    eigenvalues would carry sqrt(eps).
     """
-    rho = np.asarray(rho, dtype=complex)
-    root = _sqrtm_psd(rho)
-    rho_tilde = _SYSY @ rho.conj() @ _SYSY
-    m = root @ rho_tilde @ root
-    ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    lam = np.sqrt(np.clip(ev, 0, None))[::-1]
+    root = _sqrtm_psd(np.asarray(rho, dtype=complex))
+    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -169,15 +170,14 @@ def werner_fit(rho):
     """Mixing parameter g minimizing the Frobenius distance to the
     one-parameter family (1-g)*ideal + g*I/4.
 
-    Closed form: the least-squares projection onto the segment, clamped
-    to [0, 1].
+    Closed form: the least-squares projection onto the segment,
+    Tr((I/4 - P)(rho - P)) / Tr((I/4 - P)^2) for the ideal projector P,
+    which is (Tr D - 2 (D00 + D03 + D30 + D33)) / 3 for D = Re(rho - P),
+    clamped to [0, 1]. Forming rho - P first keeps g exactly 0 at rho = P.
     """
-    rho = np.asarray(rho, dtype=complex)
-    direction = totally_mixed() - ideal_bell()
-    diff = rho - ideal_bell()
-    num = float(np.trace(direction.conj().T @ diff).real)
-    den = float(np.trace(direction.conj().T @ direction).real)
-    return float(np.clip(num / den, 0.0, 1.0))
+    d = (np.asarray(rho, dtype=complex) - _IDEAL).real
+    g = float(np.trace(d) - 2 * (d[0, 0] + d[0, 3] + d[3, 0] + d[3, 3])) / 3
+    return min(max(g, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -193,11 +193,12 @@ class StateMetrics:
 
 def compute_metrics(rho):
     """All metrics of a state against the ideal entangled-pair target."""
+    pur = purity(rho)
     return StateMetrics(
         fidelity=fidelity(rho, bell_state()),
         tangle=tangle(rho),
-        linear_entropy=linear_entropy(rho),
-        purity=purity(rho),
+        linear_entropy=(4.0 / 3.0) * (1.0 - pur),
+        purity=pur,
         werner_g=werner_fit(rho),
     )
 

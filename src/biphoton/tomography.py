@@ -123,7 +123,7 @@ _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1,
 _BASIS = np.stack([np.kron(a, b) / 2 for a in _PAULI for b in _PAULI][1:])
 _DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
 _MAX_STEPS = 500  # Newton-step budget of one fit
-_REL_TOL = 1e-10  # the fit stops once 4 mu <= _REL_TOL * max(1, f)
+_REL_TOL = 1e-10  # the fit stops once f or 4 mu is at most _REL_TOL * max(1, f)
 
 
 def _rho(x):
@@ -161,13 +161,18 @@ def mle_reconstruct(cv):
     Gaussian-approximated Poisson likelihood of a CountVector, whose
     total_scale sets the expected count of a unit-probability setting.
 
-    f = sum_nu (m_nu - n_nu)^2 / 2 max(m_nu, 1e-9 scale) is convex in rho
-    but for a kink at that floor. A log-det barrier method (Boyd &
-    Vandenberghe, Convex Optimization (2004), ch. 11) takes damped Newton
-    steps on F = f - mu log det rho, so rho stays positive definite, and
-    ends once 4 mu, a bound on f - f* at a centered iterate, is at most
-    1e-10 max(1, f). Returns (rho, steps), steps being the Newton steps
-    taken. Raises ConvergenceError with the last state and its certificate
+    f = sum_nu (m_nu - n_nu)^2 / 2 max(m_nu, 1e-9 scale) is non-negative, so
+    f itself bounds f - f*. When total_scale is the computational-basis sum
+    of the counts, as read_counts sets it, the linear estimate fits all 16
+    counts (16 settings for 15 parameters and the normalization), and a
+    positive-definite one is returned after one pass, certified by
+    f <= 1e-10. Otherwise a log-det barrier method (Boyd & Vandenberghe,
+    Convex Optimization (2004), ch. 11) takes damped Newton steps on
+    F = f - mu log det rho, so rho stays positive definite, and ends once
+    4 mu, a bound on f - f* at a centered iterate (f is convex in rho but
+    for a kink at the variance floor), is at most 1e-10 max(1, f). Returns
+    (rho, steps), steps being the Newton steps taken (1 for a certified
+    start). Raises ConvergenceError with the last state and its certificate
     gap if the Newton-step budget runs out.
     """
     counts, scale = cv.counts, cv.total_scale
@@ -178,6 +183,14 @@ def mle_reconstruct(cv):
     if low < 1e-9:
         rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
     x = np.einsum("kij,ji->k", _BASIS, rho).real
+    # f - f* <= f <= _REL_TOL: the loop's stop, met at the start
+    if _likelihood(x, counts, scale)[0] <= _REL_TOL:
+        return _rho(x), 1
+    return _barrier_fit(x, counts, scale)
+
+
+def _barrier_fit(x, counts, scale):
+    """The barrier Newton loop of mle_reconstruct from the positive-definite rho(x)."""
     f, grad, _ = _likelihood(x, counts, scale)
     mu = max(_gap(x, grad), _REL_TOL * max(1.0, f)) / 4
     for steps in range(1, _MAX_STEPS + 1):

@@ -447,6 +447,27 @@ class TestCli:
             _, rows = pipeline.read_table(out / "summary.csv")
             assert [r[0] for r in rows] == ["good"]
 
+    def test_tomo_errors_name_each_file_once(self, tmp_path, capsys):
+        good = tmp_path / "a" / "good.txt"
+        good.parent.mkdir()
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        repeat = tmp_path / "good.txt"
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), repeat)
+        binary = tmp_path / "bin.txt"
+        binary.write_bytes(b"\xff\xfeH\x00")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("HH,1\nfoo\n")
+        missing = tmp_path / "missing.txt"
+        files = [str(p) for p in (good, repeat, binary, bad, missing)]
+        assert cli.main(["tomo", *files, "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == [
+            f"parse error: {repeat}: stem 'good' repeats that of {good}",
+            f"parse error: {binary}: not UTF-8 text (invalid start byte at byte 0)",
+            f"parse error: {bad}:2: expected 'label,count'",
+            f"I/O error: {missing}: No such file or directory",
+        ]
+
     @pytest.mark.parametrize("entry", ["nan", "(nan,0)", "(0,inf)", "inf"])
     def test_metrics_non_finite_entry_exit_parse(self, tmp_path, capsys, entry):
         rows = states.format_density_matrix(states.werner(0.3)).splitlines()

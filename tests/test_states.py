@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import states_oracles as so
 from biphoton import states
 from biphoton.errors import ParseError, ValidationError
 
@@ -13,6 +14,14 @@ G_GRID = np.linspace(0.0, 1.0, 101)
 
 def werner_purity(g):
     return (1 - g) ** 2 + g * (1 - g) / 2 + g**2 / 4
+
+
+def random_state(rng, n_components=4):
+    rho = np.zeros((4, 4), dtype=complex)
+    for w in rng.dirichlet(np.ones(n_components)):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho += w * np.outer(v, v.conj()) / np.vdot(v, v).real
+    return rho
 
 
 def random_unitary(rng, n=2):
@@ -130,6 +139,19 @@ class TestEntanglementMetrics:
             rotated = u @ rho @ u.conj().T
             assert states.concurrence(rotated) == pytest.approx(c0, abs=1e-9)
 
+    def test_matches_eigenvalue_form(self):
+        # full-rank states, where the eigenvalue form's square roots lose no digits
+        rng = np.random.default_rng(12)
+        for k in (1, 2, 4):
+            for _ in range(100):
+                rho = 0.99 * random_state(rng, k) + 0.01 * states.totally_mixed()
+                assert abs(states.concurrence(rho) - so.concurrence_eigenvalues(rho)) <= 1e-11
+
+    def test_nearly_pure_werner_tangle(self):
+        # where the eigenvalue form was off by up to 2.9e-8 (at g = 1.0e-8)
+        for g in np.logspace(-12, -5, 20_000).tolist():
+            assert abs(states.tangle(states.werner(g)) - states.werner_metrics(g).tangle) <= 1e-13
+
 
 class TestWernerFit:
     def test_round_trip_grid(self):
@@ -147,6 +169,15 @@ class TestWernerFit:
         dists = [np.linalg.norm(rho - states.werner(g)) for g in grid]
         g_oracle = grid[int(np.argmin(dists))]
         assert states.werner_fit(rho) == pytest.approx(g_oracle, abs=2e-5)
+
+    def test_matches_frobenius_projection(self):
+        rng = np.random.default_rng(13)
+        cases = [states.werner(g) for g in G_GRID]
+        cases += [random_state(rng, k) for k in (1, 2, 4) for _ in range(300)]
+        # off the unit trace and the segment, where the clamp acts on both sides
+        cases += [1.3 * random_state(rng), 2 * states.ideal_bell() - states.totally_mixed()]
+        for rho in cases:
+            assert abs(states.werner_fit(rho) - so.werner_fit_projection(rho)) <= 1e-15
 
 
 class TestWernerTrajectory:
@@ -166,10 +197,9 @@ class TestWernerMetrics:
     """The closed forms against the matrix path, which stays the oracle."""
 
     TOL = 1e-12
-    # The matrix path takes the concurrence from square roots of eigenvalues, so
-    # its tangle carries the root of their round-off: 5.7e-13 on the grid below
-    # (at g = 5e-4), but up to about 3e-8 where the small eigenvalues of a
-    # nearly pure state sit at round-off (g near 1e-8).
+    # Bounds on the tangle of the eigenvalue form of the concurrence, which
+    # carries the root of eigenvalue round-off (up to about 3e-8 near g = 1e-8);
+    # the singular-value form meets 1e-13 (test_nearly_pure_werner_tangle).
     GRID_TANGLE_TOL = 1e-9
     ROOT_TANGLE_TOL = 1e-9 + 4 * np.sqrt(np.finfo(float).eps)
 

@@ -224,6 +224,36 @@ class TestMleReconstruct:
         assert medians[0] > medians[1] > medians[2]
 
 
+class TestCertifiedStart:
+    """The early return against the barrier loop, which stays the oracle."""
+
+    def test_barrier_loop_keeps_the_linear_start(self, tmp_path):
+        # interior count files as read_counts gives them: the linear estimate fits
+        # every count, and the loop started there ends where the early return does
+        for i, g in enumerate([0.1, 0.3, 0.5, 0.7, 0.9]):
+            cv = tomography.simulate_counts(states.werner(g), 1e5, seed=i)
+            path = tmp_path / f"counts_{i}.txt"
+            tomography.write_counts(cv, path)
+            cv = tomography.read_counts(path)
+            linear = tomography.linear_reconstruct(cv)
+            assert np.linalg.eigvalsh(linear)[0] >= 1e-9
+            rho, steps = tomography.mle_reconstruct(cv)
+            assert steps == 1
+            rho_loop, _ = tomography._barrier_fit(coordinates(linear), cv.counts, cv.total_scale)
+            assert np.max(np.abs(rho_loop - rho)) <= 1e-12
+
+    def test_unfitted_scale_enters_the_loop(self):
+        # simulate_counts keeps its own total_scale, not the computational-basis
+        # sum, so the interior linear estimate misses the counts and f > 0
+        cv = tomography.simulate_counts(states.werner(0.3), 1e4, seed=0)
+        x = coordinates(tomography.linear_reconstruct(cv))
+        assert np.linalg.eigvalsh(tomography._rho(x))[0] >= 1e-9
+        assert tomography._likelihood(x, cv.counts, cv.total_scale)[0] > tomography._REL_TOL
+        rho, steps = tomography.mle_reconstruct(cv)
+        assert steps > 1
+        assert np.array_equal(rho, tomography._barrier_fit(x, cv.counts, cv.total_scale)[0])
+
+
 def central_difference(fn, x, h):
     """d fn / d x_k for each coordinate k, stacked along the first axis."""
     return np.array([(fn(x + h * e) - fn(x - h * e)) / (2 * h) for e in np.eye(len(x))])

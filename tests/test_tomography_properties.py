@@ -33,3 +33,24 @@ def test_mle_always_physical(counts):
     assert states.validate(rho).ok
     f = to.objective(rho, counts, scale)
     assert f <= to.objective(to.lbfgs_fit(cv)[0], counts, scale) + 1e-8 * max(1.0, f)
+
+
+def werner_counts(g, scale):
+    """Rounded expected counts of werner(g): interior linear estimates for most g."""
+    return np.round(scale * tomography.expected_probabilities(states.werner(g)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    count_vectors(st.integers(min_value=0, max_value=10**6)),
+    st.builds(werner_counts, st.floats(0.0, 1.0), st.floats(1e2, 1e6)),
+))
+def test_one_step_exactly_when_linear_estimate_is_interior(counts):
+    # with the computational-basis sum as scale the linear estimate fits every
+    # count, so the fit returns it after one pass if and only if it is kept as
+    # the start, that is, unless lambda_min < 1e-9 has it shrunk toward I/4
+    scale = tomography.default_total_scale(counts)
+    assume(scale > 0)
+    cv = tomography.CountVector(counts, scale)
+    _, steps = tomography.mle_reconstruct(cv)
+    assert (steps == 1) == (np.linalg.eigvalsh(tomography.linear_reconstruct(cv))[0] >= 1e-9)
