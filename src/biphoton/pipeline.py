@@ -143,14 +143,14 @@ def write_table(path, header, rows, meta):
                 for v in row
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_table(path):
     """Parse a table written by write_table: (header, rows of strings)."""
     header = None
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -176,7 +176,6 @@ class AnalysisRecord:
     label: str
     rho: np.ndarray
     metrics: states.StateMetrics
-    min_eigenvalue: float
     optimizer_evals: int
     hr_consistency: float
 
@@ -190,7 +189,6 @@ def analyze_counts(cv, label):
         label=label,
         rho=rho,
         metrics=metrics,
-        min_eigenvalue=states.validate(rho).min_eigenvalue,
         optimizer_evals=steps,
         hr_consistency=float(cv.counts[rh_index] / cv.total_scale),
     )
@@ -203,7 +201,7 @@ def write_report(record, path):
         + states.format_density_matrix(record.rho)
         + f"# {format_metrics(record.metrics)}\n"
     )
-    Path(path).write_text(text)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def run_tomo(files, out_dir):
@@ -241,7 +239,7 @@ def run_tomo(files, out_dir):
             r.metrics.linear_entropy,
             r.metrics.purity,
             r.metrics.werner_g,
-            r.min_eigenvalue,
+            r.metrics.min_eigenvalue,
             float(r.optimizer_evals),
             r.hr_consistency,
         ]
@@ -344,9 +342,7 @@ def run_sweep(cfg, out_path):
 
 def run_metrics(path):
     """Validate a serialized density matrix and compute its metrics."""
-    rho = states.parse_density_matrix(read_text(path))
-    states.require_valid(rho)
-    return states.compute_metrics(rho)
+    return states.compute_metrics(states.parse_density_matrix(read_text(path)))
 
 
 def format_metrics(m):

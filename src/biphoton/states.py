@@ -32,6 +32,7 @@ def ideal_bell():
     return np.outer(psi, psi.conj())
 
 
+_BELL = bell_state()
 _IDEAL = ideal_bell()
 
 
@@ -54,7 +55,7 @@ def werner(g):
 def werner_metrics(g):
     """compute_metrics(werner(g)) in closed form: fidelity 1 - 3g/4, tangle
     max(0, 1 - 3g/2)**2 (Wootters, PRL 80, 2245 (1998)), linear entropy
-    g(2 - g) and purity 1 - 3g(2 - g)/4."""
+    g(2 - g), purity 1 - 3g(2 - g)/4 and smallest eigenvalue g/4."""
     _check_mixing(g)
     mixedness = g * (2 - g)
     return StateMetrics(
@@ -63,6 +64,7 @@ def werner_metrics(g):
         linear_entropy=mixedness,
         purity=1 - 0.75 * mixedness,
         werner_g=g,
+        min_eigenvalue=g / 4,
     )
 
 
@@ -105,7 +107,8 @@ def validate(rho):
     return Diagnostics(herm, trace, min_eig)
 
 
-def require_valid(rho):
+def _checked(rho):
+    """validate(rho), raising ValidationError if rho is not a density matrix."""
     diag = validate(rho)
     if not diag.ok:
         raise ValidationError(
@@ -113,7 +116,19 @@ def require_valid(rho):
             f"(herm={diag.hermiticity_error:.3g}, trace_dev={diag.trace_error:.3g}, "
             f"min_eig={diag.min_eigenvalue:.3g})"
         )
+    return diag
+
+
+def require_valid(rho):
+    _checked(rho)
     return rho
+
+
+def _overlap(rho, psi):
+    val = psi.conj() @ np.asarray(rho, dtype=complex) @ psi
+    if abs(val.imag) >= 1e-12:
+        raise ValidationError(f"overlap <psi|rho|psi> has imaginary part {val.imag:.3g}")
+    return float(val.real)
 
 
 def fidelity(rho, psi):
@@ -122,10 +137,7 @@ def fidelity(rho, psi):
     if abs(np.linalg.norm(psi) - 1) > 1e-12:
         raise ValidationError("target state is not unit-norm")
     require_valid(rho)
-    val = psi.conj() @ np.asarray(rho, dtype=complex) @ psi
-    if abs(val.imag) >= 1e-12:
-        raise ValidationError(f"overlap <psi|rho|psi> has imaginary part {val.imag:.3g}")
-    return float(val.real)
+    return _overlap(rho, psi)
 
 
 def purity(rho):
@@ -189,17 +201,25 @@ class StateMetrics:
     linear_entropy: float
     purity: float
     werner_g: float
+    min_eigenvalue: float
 
 
 def compute_metrics(rho):
-    """All metrics of a state against the ideal entangled-pair target."""
+    """All metrics of a state against the ideal entangled-pair target, and
+    the smallest eigenvalue of the one physicality check it passes.
+
+    Raises ValidationError, as require_valid does, if rho is not a density
+    matrix.
+    """
+    diag = _checked(rho)
     pur = purity(rho)
     return StateMetrics(
-        fidelity=fidelity(rho, bell_state()),
+        fidelity=_overlap(rho, _BELL),
         tangle=tangle(rho),
         linear_entropy=(4.0 / 3.0) * (1.0 - pur),
         purity=pur,
         werner_g=werner_fit(rho),
+        min_eigenvalue=diag.min_eigenvalue,
     )
 
 
@@ -213,8 +233,8 @@ def _format_entry(z):
 
 
 def format_density_matrix(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return "\n".join(" ".join(_format_entry(z) for z in row) for row in rho) + "\n"
+    rows = np.asarray(rho, dtype=complex).tolist()
+    return "\n".join(" ".join(_format_entry(z) for z in row) for row in rows) + "\n"
 
 
 def _parse_entry(token):

@@ -142,6 +142,15 @@ def _likelihood(x, counts, scale):
     return f, scale * d1 @ _DESIGN, scale**2 * (_DESIGN.T * d2) @ _DESIGN
 
 
+def _objective(x, counts, scale):
+    """f alone, by _likelihood's expression, for the certified start and the
+    line search's accept test, which need no gradient or Hessian."""
+    m = scale * (0.25 + _DESIGN @ x)
+    floor = 1e-9 * scale
+    var = np.where(m > floor, m, floor)
+    return float(np.sum((m - counts) ** 2 / (2 * var)))
+
+
 def _neg_log_det(x):
     """-log det rho(x), its gradient -Tr(rho^-1 B_k) and Hessian Tr(rho^-1 B_k rho^-1 B_l),
     through C_k = rho^-1/2 B_k rho^-1/2 in rho's eigenbasis."""
@@ -184,7 +193,7 @@ def mle_reconstruct(cv):
         rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
     x = np.einsum("kij,ji->k", _BASIS, rho).real
     # f - f* <= f <= _REL_TOL: the loop's stop, met at the start
-    if _likelihood(x, counts, scale)[0] <= _REL_TOL:
+    if _objective(x, counts, scale) <= _REL_TOL:
         return _rho(x), 1
     return _barrier_fit(x, counts, scale)
 
@@ -203,10 +212,11 @@ def _barrier_fit(x, counts, scale):
         # a t >= 1 / (2 (1 + lam)) passes (ibid., sec. 9.6.4); if none does, rounding ends it.
         t = 1.0
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
-            w = np.linalg.eigvalsh(_rho(x + t * dx))
-            if w[0] > 0 and (_likelihood(x + t * dx, counts, scale)[0] - mu * np.sum(np.log(w))
+            trial = x + t * dx
+            w = np.linalg.eigvalsh(_rho(trial))
+            if w[0] > 0 and (_objective(trial, counts, scale) - mu * np.sum(np.log(w))
                              <= f + mu * barrier - t * mu * lam2 / 4):
-                x = x + t * dx
+                x = trial
                 break
             t /= 2
         else:  # centered, or stalled in rounding
@@ -227,7 +237,7 @@ def write_counts(cv, path, comments=("label,count",)):
     canonical order with exact (repr) values."""
     lines = [f"# {c}" for c in comments]
     lines += [f"{lab},{float(n)!r}" for lab, n in zip(CANONICAL_LABELS, cv.counts)]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

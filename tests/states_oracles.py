@@ -7,8 +7,11 @@
   it is off by up to about 3e-8.
 - `werner_fit_projection`: the Frobenius projection of rho onto the segment
   (1-g)*ideal + g*I/4, formed from the matrices and clamped to [0, 1].
+- `compute_metrics_composed`: the metrics composed from the public
+  functions, each of which validates rho on its own, with the smallest
+  eigenvalue from a further `validate`.
 
-Neither is used by the package itself.
+None is used by the package itself.
 """
 
 import numpy as np
@@ -35,3 +38,15 @@ def werner_fit_projection(rho):
     num = float(np.trace(direction.conj().T @ diff).real)
     den = float(np.trace(direction.conj().T @ direction).real)
     return float(np.clip(num / den, 0.0, 1.0))
+
+
+def compute_metrics_composed(rho):
+    pur = states.purity(rho)
+    return states.StateMetrics(
+        fidelity=states.fidelity(rho, states.bell_state()),
+        tangle=states.tangle(rho),
+        linear_entropy=(4.0 / 3.0) * (1.0 - pur),
+        purity=pur,
+        werner_g=states.werner_fit(rho),
+        min_eigenvalue=states.validate(rho).min_eigenvalue,
+    )

@@ -1,10 +1,16 @@
 """End-to-end tests of the batch pipeline and CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import biphoton
 from biphoton import cli, pipeline, states, tomography
 from biphoton.errors import ConfigError, ConvergenceError, ParseError
 from biphoton.multipair import SourceParams, effective_g, rates_primed
@@ -18,7 +24,8 @@ def write_config(path, extra=""):
         "source.eta=1.0\n"
         "source.n_max=15\n"
         "calibration.pairs_per_power=0.01\n"
-        "simulate.scale=1e6\n" + extra
+        "simulate.scale=1e6\n" + extra,
+        encoding="utf-8",
     )
     return path
 
@@ -297,6 +304,97 @@ class TestMetricsCommand:
         path.write_text(states.format_density_matrix(rho))
         with pytest.raises(Exception, match="hermiticity"):
             pipeline.run_metrics(path)
+
+
+class TestOneValidation:
+    """Each state passes states.validate once; it is counted through the
+    module attribute that compute_metrics reaches it by."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        validate = states.validate
+
+        def counted(rho):
+            calls.append(rho)
+            return validate(rho)
+
+        monkeypatch.setattr(states, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("certified", [True, False], ids=["certified-start", "barrier-fit"])
+    def test_analyze_counts(self, calls, certified):
+        cv = tomography.simulate_counts(states.werner(0.1), 1e5, seed=4)
+        if certified:
+            cv = tomography.CountVector(cv.counts, tomography.default_total_scale(cv.counts))
+        record = pipeline.analyze_counts(cv, "w")
+        assert len(calls) == 1
+        assert record.metrics.min_eigenvalue == states.validate(record.rho).min_eigenvalue
+
+    def test_run_tomo_summary_reads_it(self, calls, tmp_path):
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        path = tmp_path / "w.txt"
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        (record,), _ = pipeline.run_tomo([str(path)], tmp_path / "out")
+        assert len(calls) == 1
+        header, (row,) = pipeline.read_table(tmp_path / "out" / "summary.csv")
+        assert float(row[header.index("min_eigenvalue")]) == record.metrics.min_eigenvalue
+
+    def test_run_metrics(self, calls, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text(states.format_density_matrix(states.werner(0.3)), encoding="utf-8")
+        assert pipeline.run_metrics(path).min_eigenvalue == pytest.approx(0.075, abs=1e-15)
+        assert len(calls) == 1
+
+
+def run_cli_strict(args, cwd, **env):
+    """The CLI in a fresh interpreter where a text file opened without a
+    named encoding is an error."""
+    src = Path(biphoton.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "biphoton.cli", *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+        capture_output=True,
+        encoding="utf-8",
+    )
+
+
+class TestTextEncoding:
+    """Text files are UTF-8 whatever the locale: a non-ASCII power unit in
+    the count-file comments, a non-ASCII count-file stem in the report."""
+
+    def check_chain(self, tmp_path, env, stem):
+        write_config(
+            tmp_path / "run.cfg",
+            "calibration.power_unit=\u00b5W\nsimulate.power_grid=10,50\n"
+            "sweep.eta_list=0.03,1.0\nsweep.power_grid=10,100\n",
+        )
+
+        def run(*args):
+            done = run_cli_strict(args, tmp_path, **env)
+            assert (done.returncode, done.stderr) == (0, ""), args
+
+        run("simulate", "--config", "run.cfg", "--out", "counts")
+        (tmp_path / "counts" / "counts_001.txt").rename(tmp_path / "counts" / f"{stem}.txt")
+        run("tomo", "counts/counts_000.txt", f"counts/{stem}.txt", "--out", "results")
+        run("sweep", "--config", "run.cfg", "--out", "sweep.csv")
+        run("metrics", f"results/{stem}_report.txt")
+        comment = (tmp_path / "counts" / "counts_000.txt").read_text(encoding="utf-8")
+        assert "power=10.0 \u00b5W" in comment
+        report = (tmp_path / "results" / f"{stem}_report.txt").read_text(encoding="utf-8")
+        assert report.startswith(f"# state report for {stem}\n")
+        _, rows = pipeline.read_table(tmp_path / "results" / "summary.csv")
+        assert sorted(r[0] for r in rows) == sorted(["counts_000", stem])
+
+    def test_every_encoding_named(self, tmp_path):
+        self.check_chain(tmp_path, {}, "z\u00e4hler")
+
+    def test_ascii_locale(self, tmp_path):
+        # with locale coercion and UTF-8 mode off, the locale encoding is ASCII
+        env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        self.check_chain(tmp_path, env, "counts_001")
 
 
 class TestCli:

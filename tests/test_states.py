@@ -207,7 +207,7 @@ class TestWernerMetrics:
         got = states.werner_metrics(g)
         want = states.compute_metrics(states.werner(g))
         assert abs(got.tangle - want.tangle) <= tangle_tol
-        for field in ("fidelity", "linear_entropy", "purity", "werner_g"):
+        for field in ("fidelity", "linear_entropy", "purity", "werner_g", "min_eigenvalue"):
             assert abs(getattr(got, field) - getattr(want, field)) <= self.TOL, field
 
     def test_dense_grid(self):
@@ -220,14 +220,48 @@ class TestWernerMetrics:
         self.assert_matches_matrix_path(g, self.ROOT_TANGLE_TOL)
 
     def test_exact_values(self):
-        assert states.werner_metrics(0.0) == states.StateMetrics(1.0, 1.0, 0.0, 1.0, 0.0)
-        assert states.werner_metrics(1.0) == states.StateMetrics(0.25, 0.0, 1.0, 0.25, 1.0)
+        assert states.werner_metrics(0.0) == states.StateMetrics(1.0, 1.0, 0.0, 1.0, 0.0, 0.0)
+        assert states.werner_metrics(1.0) == states.StateMetrics(0.25, 0.0, 1.0, 0.25, 1.0, 0.25)
         assert states.werner_metrics(np.nextafter(2 / 3, 1)).tangle == 0.0
 
     @pytest.mark.parametrize("g", [-1e-12, 1 + 1e-12, float("nan")])
     def test_domain(self, g):
         with pytest.raises(ValueError):
             states.werner_metrics(g)
+
+
+class TestComputeMetrics:
+    """One validation inside compute_metrics against the public functions
+    composed, each validating on its own, as the oracle."""
+
+    def cases(self):
+        rng = np.random.default_rng(21)
+        interior = [states.werner(g) for g in G_GRID[1:]]
+        interior += [0.99 * random_state(rng) + 0.01 * states.totally_mixed() for _ in range(50)]
+        boundary = [states.ideal_bell(), np.diag([0.5, 0.5, 0, 0]).astype(complex)]
+        boundary += [random_state(rng, k) for k in (1, 2, 3) for _ in range(50)]
+        # lambda_min = -1e-11, which validate accepts (PSD_TOL = 1e-10)
+        boundary.append(states.ideal_bell() - 1e-11 * np.diag([0, 1, 0, 0]) + 1e-11 * np.diag([1, 0, 0, 0]))
+        return interior + boundary + [random_state(rng) for _ in range(200)]
+
+    def test_every_field_equals_the_composed_metrics(self):
+        for rho in self.cases():
+            got = states.compute_metrics(rho)
+            assert got == so.compute_metrics_composed(rho)
+            assert got.min_eigenvalue == states.validate(rho).min_eigenvalue
+
+    @pytest.mark.parametrize("rho", [
+        np.eye(4) / 4 + 0.1j * np.diag([1, 0, 0, 0]),  # not Hermitian
+        0.9 * states.totally_mixed(),  # trace 0.9
+        np.diag([0.6, 0.5, -0.1, 0.0]),  # negative eigenvalue
+    ], ids=["hermiticity", "trace", "positivity"])
+    def test_rejects_as_require_valid_does(self, rho):
+        with pytest.raises(ValidationError) as want:
+            states.require_valid(rho)
+        with pytest.raises(ValidationError) as got:
+            states.compute_metrics(rho)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("invalid density matrix: ")
 
 
 class TestValidate:

@@ -290,6 +290,24 @@ class TestLikelihoodGradient:
         assert hv < 1e-9 * cv.total_scale
         self.check_likelihood(coordinates(rho), cv, h=1e-10)
 
+    def test_objective_is_the_likelihood_value(self):
+        # bitwise: the accept tests compare it with f from _likelihood. Points
+        # inside the PSD cone, on its boundary (Bell, with model counts at 0),
+        # just inside it (model counts below the variance floor) and outside it
+        rng = np.random.default_rng(9)
+        near_bell = (1 - 4e-10) * states.ideal_bell() + 4e-10 * states.totally_mixed()
+        points = [coordinates(random_state(rng, k)) for k in (1, 2, 4) for _ in range(10)]
+        points += [coordinates(states.ideal_bell()), coordinates(near_bell), 3 * points[0]]
+        below_floor = 0
+        for cv in (tomography.simulate_counts(states.werner(0.05), 1e4, seed=3),
+                   count_vector(tomography.simulate_counts(states.ideal_bell(), 1e5, seed=0).counts)):
+            for x in points:
+                m = cv.total_scale * tomography.expected_probabilities(tomography._rho(x))
+                below_floor += bool(np.any(m <= 1e-9 * cv.total_scale))
+                assert (tomography._objective(x, cv.counts, cv.total_scale)
+                        == tomography._likelihood(x, cv.counts, cv.total_scale)[0])
+        assert below_floor >= 4
+
     def test_gap_matches_certificate(self):
         # the fit's gap, from the coordinates' gradient, against the bound
         # computed from G = sum_nu df/dp_nu P_nu over the Hermitian matrices
