@@ -31,20 +31,13 @@ from .tomography import (
     simulate_counts,
 )
 from .multipair import (
-    MonteCarloRates,
     PowerCalibration,
     RateTriple,
     SourceParams,
     background_g,
-    class_prob_primed,
-    class_prob_unprimed,
-    effective_density_matrix,
     effective_g,
     g_vs_power_curve,
-    monte_carlo_rates,
-    projection_probabilities_16,
     rates_primed,
-    rates_unprimed,
 )
 from . import errors, pipeline
 
@@ -52,18 +45,14 @@ __all__ = [
     "BASIS_LABELS",
     "CANONICAL_LABELS",
     "CountVector",
-    "MonteCarloRates",
     "PowerCalibration",
     "RateTriple",
     "SourceParams",
     "StateMetrics",
     "background_g",
     "bell_state",
-    "class_prob_primed",
-    "class_prob_unprimed",
     "compute_metrics",
     "concurrence",
-    "effective_density_matrix",
     "effective_g",
     "errors",
     "expected_probabilities",
@@ -74,13 +63,10 @@ __all__ = [
     "linear_entropy",
     "linear_reconstruct",
     "mle_reconstruct",
-    "monte_carlo_rates",
     "parse_density_matrix",
     "pipeline",
-    "projection_probabilities_16",
     "purity",
     "rates_primed",
-    "rates_unprimed",
     "simulate_counts",
     "tangle",
     "totally_mixed",

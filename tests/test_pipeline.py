@@ -14,6 +14,7 @@ import biphoton
 from biphoton import cli, pipeline, states, tomography
 from biphoton.errors import ConfigError, ConvergenceError, ParseError
 from biphoton.multipair import SourceParams, effective_g, rates_primed
+from pipeline_oracles import read_table
 
 
 def write_config(path, extra=""):
@@ -55,7 +56,7 @@ class TestTables:
         path = tmp_path / "t.csv"
         rows = [[0.1, 1 / 3, 2e-7], [5.0, 0.9999999999, 1e300]]
         pipeline.write_table(path, ["a", "b", "c"], rows, {"seed": 0})
-        header, back = pipeline.read_table(path)
+        header, back = read_table(path)
         assert header == ["a", "b", "c"]
         for row, raw in zip(rows, back):
             for v, s in zip(row, raw):
@@ -65,7 +66,7 @@ class TestTables:
     def test_floats_round_trip_bit_exact(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("table") / "t.csv"
         pipeline.write_table(path, ["a", "b", "c"], rows, {"seed": 0})
-        _, back = pipeline.read_table(path)
+        _, back = read_table(path)
         got = np.array([float(s) for row in back for s in row])
         want = np.array([v for row in rows for v in row], dtype=float)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -165,7 +166,7 @@ class TestTomoBatch:
         )
         paths = pipeline.run_simulate(cfg, tmp_path / "counts")
         pipeline.run_tomo(paths, tmp_path / "out")
-        header, rows = pipeline.read_table(tmp_path / "out" / "summary.csv")
+        header, rows = read_table(tmp_path / "out" / "summary.csv")
         column = header.index("optimizer_evals")
         assert [r[0] for r in rows] == [p.stem for p in paths]
         for path, row in zip(paths, rows):
@@ -188,6 +189,33 @@ class TestTomoBatch:
         assert str(files[0]) in str(exc) and str(files[1]) in str(exc)
         report = states.parse_density_matrix((tmp_path / "out" / "c_report.txt").read_text())
         assert np.max(np.abs(report - records[0].rho)) < 1e-15
+
+    def test_undecodable_file_name(self, tmp_path):
+        # a name that is not valid UTF-8 is labelled with its bytes escaped
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / "good.txt", tmp_path / os.fsdecode(b"\xffbad.txt")]
+        for path in files:
+            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert not errors
+        assert [r.label for r in records] == ["\\xffbad", "good"]
+        report = tmp_path / "out" / os.fsdecode(b"\xffbad_report.txt")
+        assert report.read_text(encoding="utf-8").startswith("# state report for \\xffbad\n")
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert [r[0] for r in rows] == ["\\xffbad", "good"]
+
+    def test_unwritable_report_fails_its_file_only(self, tmp_path):
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in files:
+            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        (tmp_path / "out" / "a_report.txt").mkdir(parents=True)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert [r.label for r in records] == ["b"]
+        ((fname, exc),) = errors
+        assert fname == str(files[0]) and isinstance(exc, OSError)
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert [r[0] for r in rows] == ["b"]
 
     def test_summary_carries_no_config_provenance(self, tmp_path):
         # tomo reads no config, so its summary names no seed or config hash
@@ -256,7 +284,7 @@ class TestSweep:
         rows = pipeline.run_sweep(sweep_cfg, out)
         for row in rows:
             check(row[7], row[8], row[9], row[10])
-        _, fig2 = pipeline.read_table(out.with_name("sweep_fig2.csv"))
+        _, fig2 = read_table(out.with_name("sweep_fig2.csv"))
         curve = [r for r in fig2 if r[0] == "curve"]
         model = [r for r in fig2 if r[0] == "model"]
         assert [float(r[1]) for r in curve] == np.linspace(0.0, 1.0, 201).tolist()
@@ -269,13 +297,13 @@ class TestSweep:
     def test_companion_tables_round_trip(self, sweep_cfg, tmp_path):
         out = tmp_path / "sweep.csv"
         rows = pipeline.run_sweep(sweep_cfg, out)
-        header, raw = pipeline.read_table(out)
+        header, raw = read_table(out)
         assert header == pipeline.SWEEP_HEADER
         for row, cells in zip(rows, raw):
             assert [float(c) for c in cells] == [float(v) for v in row]
         for suffix in ("_fig2", "_fig1b"):
             path = out.with_name(out.stem + suffix + out.suffix)
-            header, raw = pipeline.read_table(path)
+            header, raw = read_table(path)
             assert raw
 
 
@@ -337,7 +365,7 @@ class TestOneValidation:
         tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
         (record,), _ = pipeline.run_tomo([str(path)], tmp_path / "out")
         assert len(calls) == 1
-        header, (row,) = pipeline.read_table(tmp_path / "out" / "summary.csv")
+        header, (row,) = read_table(tmp_path / "out" / "summary.csv")
         assert float(row[header.index("min_eigenvalue")]) == record.metrics.min_eigenvalue
 
     def test_run_metrics(self, calls, tmp_path):
@@ -365,7 +393,7 @@ class TestTextEncoding:
     """Text files are UTF-8 whatever the locale: a non-ASCII power unit in
     the count-file comments, a non-ASCII count-file stem in the report."""
 
-    def check_chain(self, tmp_path, env, stem):
+    def check_chain(self, tmp_path, env, stem, label):
         write_config(
             tmp_path / "run.cfg",
             "calibration.power_unit=\u00b5W\nsimulate.power_grid=10,50\n"
@@ -384,17 +412,30 @@ class TestTextEncoding:
         comment = (tmp_path / "counts" / "counts_000.txt").read_text(encoding="utf-8")
         assert "power=10.0 \u00b5W" in comment
         report = (tmp_path / "results" / f"{stem}_report.txt").read_text(encoding="utf-8")
-        assert report.startswith(f"# state report for {stem}\n")
-        _, rows = pipeline.read_table(tmp_path / "results" / "summary.csv")
-        assert sorted(r[0] for r in rows) == sorted(["counts_000", stem])
+        assert report.startswith(f"# state report for {label}\n")
+        _, rows = read_table(tmp_path / "results" / "summary.csv")
+        assert sorted(r[0] for r in rows) == sorted(["counts_000", label])
 
     def test_every_encoding_named(self, tmp_path):
-        self.check_chain(tmp_path, {}, "z\u00e4hler")
+        self.check_chain(tmp_path, {}, "z\u00e4hler", "z\u00e4hler")
 
     def test_ascii_locale(self, tmp_path):
-        # with locale coercion and UTF-8 mode off, the locale encoding is ASCII
+        # with locale coercion and UTF-8 mode off, the filesystem encoding is
+        # ASCII, so the two UTF-8 bytes of the umlaut appear escaped
         env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-        self.check_chain(tmp_path, env, "counts_001")
+        self.check_chain(tmp_path, env, "z\u00e4hler", "z\\xc3\\xa4hler")
+
+    def test_undecodable_file_name(self, tmp_path):
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        bad = os.fsdecode(b"\xffbad.txt")
+        for name in ("good.txt", bad):
+            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), tmp_path / name)
+        done = run_cli_strict(["tomo", "good.txt", bad, "--out", "out"], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [line.split(":")[0] for line in done.stdout.splitlines()] == ["\\xffbad", "good"]
+        assert len(list((tmp_path / "out").glob("*_report.txt"))) == 2
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert [r[0] for r in rows] == ["\\xffbad", "good"]
 
 
 class TestCli:
@@ -430,7 +471,7 @@ class TestCli:
             "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep.csv")
         ]) == cli.EXIT_OK
         # sweep runs on sweep.power_grid, not on simulate.power_grid
-        _, rows = pipeline.read_table(tmp_path / "sweep.csv")
+        _, rows = read_table(tmp_path / "sweep.csv")
         assert len(rows) == 2 * 2
 
     def test_tomo_reports_corrupt_file(self, tmp_path):
@@ -451,7 +492,7 @@ class TestCli:
         assert cli.main(["tomo", str(good), str(bad), "--out", str(out)]) == cli.EXIT_PARSE
         assert f"parse error: {bad}" in capsys.readouterr().err
         assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
-        _, rows = pipeline.read_table(out / "summary.csv")
+        _, rows = read_table(out / "summary.csv")
         assert [r[0] for r in rows] == ["good"]
 
     def test_tomo_zero_counts_exit_validation(self, tmp_path):
@@ -470,9 +511,11 @@ class TestCli:
             ("sweep", [], "calibration.pairs_per_power=1e300\nsweep.power_grid=1e10\n",
              cli.EXIT_PARSE),
             ("simulate", ["--scale", "1e300"], "", cli.EXIT_VALIDATION),
+            ("simulate", ["--scale", "0"], "", cli.EXIT_PARSE),
+            ("simulate", ["--scale", "-5"], "", cli.EXIT_PARSE),
         ],
         ids=["scale-inf", "seed-negative", "eta-above-one", "grid-nan", "pairs-inf", "mu-inf",
-             "scale-1e300"],
+             "scale-1e300", "scale-zero", "scale-negative"],
     )
     def test_bad_values_get_exit_code(self, tmp_path, capsys, command, args, extra, code):
         cfg_path = write_config(
@@ -519,7 +562,7 @@ class TestCli:
         assert "Traceback" not in err
         if command == "tomo":
             assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
-            _, rows = pipeline.read_table(out / "summary.csv")
+            _, rows = read_table(out / "summary.csv")
             assert [r[0] for r in rows] == ["good"]
 
     @pytest.mark.parametrize("command", ["tomo", "metrics", "simulate", "sweep"])
@@ -542,7 +585,7 @@ class TestCli:
         assert err.startswith(f"parse error: {binary}") and "not UTF-8 text" in err
         if command == "tomo":
             assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
-            _, rows = pipeline.read_table(out / "summary.csv")
+            _, rows = read_table(out / "summary.csv")
             assert [r[0] for r in rows] == ["good"]
 
     def test_tomo_errors_name_each_file_once(self, tmp_path, capsys):
@@ -598,7 +641,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["tomo", *files, "--out", str(out)]) == cli.EXIT_NONCONVERGED
         assert [p.name for p in out.glob("*_report.txt")] == ["b_report.txt"]
-        _, rows = pipeline.read_table(out / "summary.csv")
+        _, rows = read_table(out / "summary.csv")
         assert [r[0] for r in rows] == ["b"]
 
 
