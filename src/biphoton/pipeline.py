@@ -13,20 +13,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, states, tomography
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateInputError,
-    ParseError,
-    ValidationError,
-    read_text,
-)
+from .errors import BiphotonError, ConfigError, ParseError, read_text
 from .multipair import (
     PowerCalibration,
     SourceParams,
@@ -213,35 +206,17 @@ def run_tomo(files, out_dir):
             cv = tomography.read_counts(fname)
             record = analyze_counts(cv, label)
             write_report(record, out_dir / f"{stem}_report.txt")
-        except (OSError, ParseError, ValidationError, DegenerateInputError,
-                ConvergenceError) as exc:
+        except (BiphotonError, OSError) as exc:
             errors.append((str(fname), exc))
             continue
         records.append(record)
     records.sort(key=lambda r: r.label)
-    rows = [
-        [
-            r.label,
-            r.metrics.fidelity,
-            r.metrics.tangle,
-            r.metrics.linear_entropy,
-            r.metrics.purity,
-            r.metrics.werner_g,
-            r.metrics.min_eigenvalue,
-            float(r.optimizer_evals),
-            r.hr_consistency,
-        ]
-        for r in records
-    ]
-    write_table(
-        out_dir / "summary.csv",
-        [
-            "label", "fidelity", "tangle", "linear_entropy", "purity",
-            "werner_g", "min_eigenvalue", "optimizer_evals", "hr_consistency",
-        ],
-        rows,
-        {"version": __version__, "files": len(files), "errors": len(errors)},
-    )
+    header = ["label", *(f.name for f in fields(states.StateMetrics)),
+              "optimizer_evals", "hr_consistency"]
+    rows = [[r.label, *astuple(r.metrics), float(r.optimizer_evals), r.hr_consistency]
+            for r in records]
+    write_table(out_dir / "summary.csv", header, rows,
+                {"version": __version__, "files": len(files), "errors": len(errors)})
     return records, errors
 
 

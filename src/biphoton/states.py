@@ -68,60 +68,29 @@ def werner_metrics(g):
     )
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    """Physicality report for a candidate density matrix."""
-
-    hermiticity_error: float
-    trace_error: float
-    min_eigenvalue: float
-
-    @property
-    def ok(self):
-        return not self.failures()
-
-    def failures(self):
-        """Names of the violated invariants, in a fixed order."""
-        out = []
-        if self.hermiticity_error > HERMITICITY_TOL:
-            out.append("hermiticity")
-        if self.trace_error > TRACE_TOL:
-            out.append("trace")
-        if self.min_eigenvalue < -PSD_TOL:
-            out.append("positivity")
-        return out
-
-
 def validate(rho):
-    """Diagnose Hermiticity, trace and positivity of a 4x4 array.
+    """The one physicality check: rho must be Hermitian and unit-trace to
+    1e-12, with no eigenvalue below -1e-10.
 
-    Returns a Diagnostics record; raises ValueError only if rho is not 4x4.
+    Returns the smallest eigenvalue of rho's Hermitian part. Raises
+    ValidationError naming the violated invariants (hermiticity, trace,
+    positivity, in that order), and ValueError if rho is not 4x4.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected 4x4 array, got shape {rho.shape}")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace = float(abs(np.trace(rho) - 1))
-    herm_part = (rho + rho.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(herm_part)[0])
-    return Diagnostics(herm, trace, min_eig)
-
-
-def _checked(rho):
-    """validate(rho), raising ValidationError if rho is not a density matrix."""
-    diag = validate(rho)
-    if not diag.ok:
+    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
+    failures = [name for name, bad in (("hermiticity", herm > HERMITICITY_TOL),
+                                       ("trace", trace > TRACE_TOL),
+                                       ("positivity", min_eig < -PSD_TOL)) if bad]
+    if failures:
         raise ValidationError(
-            f"invalid density matrix: {', '.join(diag.failures())} "
-            f"(herm={diag.hermiticity_error:.3g}, trace_dev={diag.trace_error:.3g}, "
-            f"min_eig={diag.min_eigenvalue:.3g})"
+            f"invalid density matrix: {', '.join(failures)} "
+            f"(herm={herm:.3g}, trace_dev={trace:.3g}, min_eig={min_eig:.3g})"
         )
-    return diag
-
-
-def require_valid(rho):
-    _checked(rho)
-    return rho
+    return min_eig
 
 
 def _overlap(rho, psi):
@@ -136,7 +105,7 @@ def fidelity(rho, psi):
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1) > 1e-12:
         raise ValidationError("target state is not unit-norm")
-    require_valid(rho)
+    validate(rho)
     return _overlap(rho, psi)
 
 
@@ -208,10 +177,9 @@ def compute_metrics(rho):
     """All metrics of a state against the ideal entangled-pair target, and
     the smallest eigenvalue of the one physicality check it passes.
 
-    Raises ValidationError, as require_valid does, if rho is not a density
-    matrix.
+    Raises ValidationError, as validate does, if rho is not a density matrix.
     """
-    diag = _checked(rho)
+    min_eig = validate(rho)
     pur = purity(rho)
     return StateMetrics(
         fidelity=_overlap(rho, _BELL),
@@ -219,7 +187,7 @@ def compute_metrics(rho):
         linear_entropy=(4.0 / 3.0) * (1.0 - pur),
         purity=pur,
         werner_g=werner_fit(rho),
-        min_eigenvalue=diag.min_eigenvalue,
+        min_eigenvalue=min_eig,
     )
 
 

@@ -131,30 +131,32 @@ def _rho(x):
 
 
 def _likelihood(x, counts, scale):
-    """f at rho(x), its gradient scale A^T f'(m) and Hessian scale^2 A^T diag(f''(m)) A."""
+    """f at rho(x), its gradient scale A^T f'(m) and Hessian scale^2 A^T diag(f''(m)) A,
+    with f''(m) = n^2 / m^3 formed as (n / m)^2 / m and the factor scale^2 applied as
+    two factors scale, so that no intermediate outgrows the result."""
     m = scale * (0.25 + _DESIGN @ x)
     floor = 1e-9 * scale
     free = m > floor
     var = np.where(free, m, floor)
     d1 = np.where(free, (1 - (counts / var) ** 2) / 2, (m - counts) / floor)
-    d2 = np.where(free, counts**2 / var**3, 1 / floor)
-    f = float(np.sum((m - counts) ** 2 / (2 * var)))
-    return f, scale * d1 @ _DESIGN, scale**2 * (_DESIGN.T * d2) @ _DESIGN
+    d2 = np.where(free, (counts / var) ** 2 / var, 1 / floor)
+    hess = scale * (scale * (_DESIGN.T * d2) @ _DESIGN)
+    return _objective(x, counts, scale), scale * d1 @ _DESIGN, hess
 
 
 def _objective(x, counts, scale):
-    """f alone, by _likelihood's expression, for the certified start and the
-    line search's accept test, which need no gradient or Hessian."""
+    """f alone, for the certified start, the line search's accept test and
+    _likelihood. Each term is formed as (m - n) ((m - n) / 2 var), so that no
+    intermediate outgrows the term itself."""
     m = scale * (0.25 + _DESIGN @ x)
     floor = 1e-9 * scale
     var = np.where(m > floor, m, floor)
-    return float(np.sum((m - counts) ** 2 / (2 * var)))
+    return float(np.sum((m - counts) * ((m - counts) / (2 * var))))
 
 
-def _neg_log_det(x):
-    """-log det rho(x), its gradient -Tr(rho^-1 B_k) and Hessian Tr(rho^-1 B_k rho^-1 B_l),
-    through C_k = rho^-1/2 B_k rho^-1/2 in rho's eigenbasis."""
-    w, v = np.linalg.eigh(_rho(x))
+def _neg_log_det(w, v):
+    """-log det rho, its gradient -Tr(rho^-1 B_k) and Hessian Tr(rho^-1 B_k rho^-1 B_l)
+    from rho's eigenpairs (w, v), through C_k = rho^-1/2 B_k rho^-1/2 in that eigenbasis."""
     c = (v.conj().T @ _BASIS @ v / np.sqrt(np.outer(w, w))).reshape(15, 16)
     return -float(np.sum(np.log(w))), -c[:, ::5].sum(axis=1).real, (c @ c.conj().T).real
 
@@ -182,29 +184,37 @@ def mle_reconstruct(cv):
     for a kink at the variance floor), is at most 1e-10 max(1, f). Returns
     (rho, steps), steps being the Newton steps taken (1 for a certified
     start). Raises ConvergenceError with the last state and its certificate
-    gap if the Newton-step budget runs out.
+    gap if the Newton-step budget runs out, and ValidationError if the fit
+    overflows float arithmetic (counts near 1e300).
     """
     counts, scale = cv.counts, cv.total_scale
-    # A singular linear estimate (a rank-deficient one has round-off eigenvalues
-    # near +-1e-17, with no digits in log det) is shrunk toward I/4 to lambda_min 1e-3.
-    rho = linear_reconstruct(cv)
-    low = np.linalg.eigvalsh(rho)[0]
-    if low < 1e-9:
-        rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
-    x = np.einsum("kij,ji->k", _BASIS, rho).real
-    # f - f* <= f <= _REL_TOL: the loop's stop, met at the start
-    if _objective(x, counts, scale) <= _REL_TOL:
-        return _rho(x), 1
-    return _barrier_fit(x, counts, scale)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # A singular linear estimate (a rank-deficient one has round-off eigenvalues
+            # near +-1e-17, with no digits in log det) is shrunk toward I/4 to lambda_min 1e-3.
+            rho = linear_reconstruct(cv)
+            low = np.linalg.eigvalsh(rho)[0]
+            if low < 1e-9:
+                rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
+            x = np.einsum("kij,ji->k", _BASIS, rho).real
+            # f - f* <= f <= _REL_TOL: the loop's stop, met at the start
+            if _objective(x, counts, scale) <= _REL_TOL:
+                return _rho(x), 1
+            return _barrier_fit(x, counts, scale)
+    except FloatingPointError as exc:
+        raise ValidationError(f"counts too large for the likelihood's arithmetic ({exc})") from exc
 
 
 def _barrier_fit(x, counts, scale):
-    """The barrier Newton loop of mle_reconstruct from the positive-definite rho(x)."""
+    """The barrier Newton loop of mle_reconstruct from the positive-definite rho(x).
+    Each trial's eigenpairs are computed once: the accept test's positivity and the
+    next step's barrier terms read the same ones, so they cannot disagree in sign."""
     f, grad, _ = _likelihood(x, counts, scale)
     mu = max(_gap(x, grad), _REL_TOL * max(1.0, f)) / 4
+    w, v = np.linalg.eigh(_rho(x))
     for steps in range(1, _MAX_STEPS + 1):
         f, grad, hess = _likelihood(x, counts, scale)
-        barrier, dbarrier, d2barrier = _neg_log_det(x)
+        barrier, dbarrier, d2barrier = _neg_log_det(w, v)
         g = grad + mu * dbarrier
         dx = np.linalg.solve(hess + mu * d2barrier, -g)
         lam2 = -(g @ dx) / mu  # squared Newton decrement of F / mu
@@ -213,10 +223,10 @@ def _barrier_fit(x, counts, scale):
         t = 1.0
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
-            w = np.linalg.eigvalsh(_rho(trial))
-            if w[0] > 0 and (_objective(trial, counts, scale) - mu * np.sum(np.log(w))
-                             <= f + mu * barrier - t * mu * lam2 / 4):
-                x = trial
+            w_trial, v_trial = np.linalg.eigh(_rho(trial))
+            if w_trial[0] > 0 and (_objective(trial, counts, scale) - mu * np.sum(np.log(w_trial))
+                                   <= f + mu * barrier - t * mu * lam2 / 4):
+                x, w, v = trial, w_trial, v_trial
                 break
             t /= 2
         else:  # centered, or stalled in rounding

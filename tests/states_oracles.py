@@ -9,7 +9,7 @@
   (1-g)*ideal + g*I/4, formed from the matrices and clamped to [0, 1].
 - `compute_metrics_composed`: the metrics composed from the public
   functions, each of which validates rho on its own, with the smallest
-  eigenvalue from a further `validate`.
+  eigenvalue returned by a further `validate`.
 
 None is used by the package itself.
 """
@@ -48,5 +48,5 @@ def compute_metrics_composed(rho):
         linear_entropy=(4.0 / 3.0) * (1.0 - pur),
         purity=pur,
         werner_g=states.werner_fit(rho),
-        min_eigenvalue=states.validate(rho).min_eigenvalue,
+        min_eigenvalue=states.validate(rho),
     )

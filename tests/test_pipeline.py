@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import biphoton
 from biphoton import cli, pipeline, states, tomography
-from biphoton.errors import ConfigError, ConvergenceError, ParseError
+from biphoton.errors import ConfigError, ConvergenceError, ParseError, ValidationError
 from biphoton.multipair import SourceParams, effective_g, rates_primed
 from pipeline_oracles import read_table
 
@@ -217,6 +217,41 @@ class TestTomoBatch:
         _, rows = read_table(tmp_path / "out" / "summary.csv")
         assert [r[0] for r in rows] == ["b"]
 
+    def test_summary_header(self, tmp_path):
+        # the columns follow StateMetrics' fields; a change there shows here
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        path = tmp_path / "w.txt"
+        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        pipeline.run_tomo([str(path)], tmp_path / "out")
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")][0] == (
+            "label,fidelity,tangle,linear_entropy,purity,werner_g,min_eigenvalue,"
+            "optimizer_evals,hr_consistency"
+        )
+
+    def test_huge_counts(self, tmp_path):
+        # a low-power boundary file (a barrier fit) scaled by up to 1e150 gives
+        # the unscaled state; at 1e300 the likelihood overflows and that file
+        # alone fails, as a validation error (exit 3)
+        counts = np.array([49834, 38, 49890, 47, 24996, 25145, 25090, 24817,
+                           25327, 50386, 24918, 24866, 25046, 25256, 25182, 50044.0])
+        files = []
+        for name, factor in (("unit", 1.0), ("x1e100", 1e100), ("x1e150", 1e150),
+                             ("x1e300", 1e300)):
+            files.append(tmp_path / f"{name}.txt")
+            tomography.write_counts(tomography.CountVector(counts * factor, 1.0), files[-1])
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        unit, *scaled = records
+        assert [r.label for r in records] == ["unit", "x1e100", "x1e150"]
+        assert unit.optimizer_evals > 1
+        for record in scaled:
+            assert np.max(np.abs(record.rho - unit.rho)) < 1e-9
+        ((fname, exc),) = errors
+        assert fname == str(files[3]) and isinstance(exc, ValidationError)
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert len(rows) == 3
+        assert cli.main(["tomo", *map(str, files), "--out", str(tmp_path / "cli")]) == 3
+
     def test_summary_carries_no_config_provenance(self, tmp_path):
         # tomo reads no config, so its summary names no seed or config hash
         probs = tomography.expected_probabilities(states.werner(0.3))
@@ -357,7 +392,7 @@ class TestOneValidation:
             cv = tomography.CountVector(cv.counts, tomography.default_total_scale(cv.counts))
         record = pipeline.analyze_counts(cv, "w")
         assert len(calls) == 1
-        assert record.metrics.min_eigenvalue == states.validate(record.rho).min_eigenvalue
+        assert record.metrics.min_eigenvalue == states.validate(record.rho)
 
     def test_run_tomo_summary_reads_it(self, calls, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))

