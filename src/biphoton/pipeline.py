@@ -130,16 +130,20 @@ def load_config(path, overrides=None):
 
 
 def write_table(path, header, rows, meta):
-    """Comma-delimited table with '#' comment lines for provenance."""
+    """Comma-delimited table with '#' comment lines for provenance. Text
+    cells are written as given, float cells as their repr, which round-trips
+    exactly, and other cells through str."""
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                for v in row
-            )
-        )
+    lines += [
+        ",".join([
+            v if isinstance(v, str)
+            else repr(float(v)) if isinstance(v, (float, np.floating))
+            else str(v)
+            for v in row
+        ])
+        for row in rows
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -260,39 +264,42 @@ def run_sweep(cfg, out_path):
     Writes the main sweep table to out_path plus two companions derived
     from its name: *_fig2* (mixedness-vs-entanglement trajectory, with the
     dense reference curve) and *_fig1b* (fidelity vs power with the ideal,
-    separable-limit and totally-mixed reference values).
+    separable-limit and totally-mixed reference values). Each number is
+    formatted once: the companions repeat the main table's cell text.
+    Returns the main table's rows as numbers.
     """
     if not cfg.eta_list or not cfg.sweep_grid:
         raise ConfigError("sweep requires sweep.eta_list and sweep.power_grid")
-    rows = []
+    alpha = cfg.source.alpha
+    alpha_text = repr(float(alpha))
+    powers = [(power, cfg.calibration.pairs_per_power * power) for power in sorted(cfg.sweep_grid)]
+    power_texts = [(repr(float(power)), repr(float(mu))) for power, mu in powers]
+    rows, cells = [], []
     for eta in sorted(cfg.eta_list):
-        for power in sorted(cfg.sweep_grid):
-            mu = cfg.calibration.pairs_per_power * power
-            params = replace(cfg.source, mu=mu, eta=eta)
-            rates = rates_primed(params)
+        eta_text = repr(float(eta))
+        for (power, mu), (power_text, mu_text) in zip(powers, power_texts):
+            rates = rates_primed(replace(cfg.source, mu=mu, eta=eta))
             g = effective_g(rates)
             m = states.werner_metrics(g)
-            rows.append([
-                float(power), float(mu), float(eta), cfg.source.alpha,
-                rates.r_hh, rates.r_hv, rates.r_hr,
-                g, m.tangle, m.linear_entropy, m.fidelity,
-            ])
+            # rates_primed, effective_g and werner_metrics return Python floats
+            computed = [rates.r_hh, rates.r_hv, rates.r_hr,
+                        g, m.tangle, m.linear_entropy, m.fidelity]
+            rows.append([float(power), float(mu), float(eta), alpha, *computed])
+            cells.append([power_text, mu_text, eta_text, alpha_text, *map(repr, computed)])
     out_path = Path(out_path)
     meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
-    write_table(out_path, SWEEP_HEADER, rows, meta)
+    write_table(out_path, SWEEP_HEADER, cells, meta)
 
     fig2_rows = []
     for g in np.linspace(0.0, 1.0, 201).tolist():
         m = states.werner_metrics(g)
-        fig2_rows.append(["curve", g, m.linear_entropy, m.tangle])
-    for row in rows:
-        fig2_rows.append(["model", row[7], row[9], row[8]])
+        fig2_rows.append(["curve", repr(g), repr(m.linear_entropy), repr(m.tangle)])
+    fig2_rows += [["model", c[7], c[9], c[8]] for c in cells]
     fig2_path = out_path.with_name(out_path.stem + "_fig2" + out_path.suffix)
     write_table(fig2_path, ["kind", "g", "linear_entropy", "tangle"], fig2_rows, meta)
 
-    fig1b_rows = [
-        [row[0], row[2], row[10]] + list(FIDELITY_REFERENCES.values()) for row in rows
-    ]
+    references = [repr(v) for v in FIDELITY_REFERENCES.values()]
+    fig1b_rows = [[c[0], c[2], c[10], *references] for c in cells]
     fig1b_path = out_path.with_name(out_path.stem + "_fig1b" + out_path.suffix)
     write_table(
         fig1b_path,

@@ -208,13 +208,12 @@ def mle_reconstruct(cv):
 def _barrier_fit(x, counts, scale):
     """The barrier Newton loop of mle_reconstruct from the positive-definite rho(x).
     Each trial's eigenpairs are computed once: the accept test's positivity and the
-    next step's barrier terms read the same ones, so they cannot disagree in sign."""
-    f, grad, _ = _likelihood(x, counts, scale)
+    next step's barrier terms read the same ones, so they cannot disagree in sign.
+    The likelihood and barrier terms are formed once per x, when x moves."""
+    f, grad, hess = _likelihood(x, counts, scale)
     mu = max(_gap(x, grad), _REL_TOL * max(1.0, f)) / 4
-    w, v = np.linalg.eigh(_rho(x))
+    barrier, dbarrier, d2barrier = _neg_log_det(*np.linalg.eigh(_rho(x)))
     for steps in range(1, _MAX_STEPS + 1):
-        f, grad, hess = _likelihood(x, counts, scale)
-        barrier, dbarrier, d2barrier = _neg_log_det(w, v)
         g = grad + mu * dbarrier
         dx = np.linalg.solve(hess + mu * d2barrier, -g)
         lam2 = -(g @ dx) / mu  # squared Newton decrement of F / mu
@@ -226,7 +225,9 @@ def _barrier_fit(x, counts, scale):
             w_trial, v_trial = np.linalg.eigh(_rho(trial))
             if w_trial[0] > 0 and (_objective(trial, counts, scale) - mu * np.sum(np.log(w_trial))
                                    <= f + mu * barrier - t * mu * lam2 / 4):
-                x, w, v = trial, w_trial, v_trial
+                x = trial
+                f, grad, hess = _likelihood(x, counts, scale)
+                barrier, dbarrier, d2barrier = _neg_log_det(w_trial, v_trial)
                 break
             t /= 2
         else:  # centered, or stalled in rounding
@@ -234,7 +235,7 @@ def _barrier_fit(x, counts, scale):
                 return _rho(x), steps
             mu /= 100
     raise ConvergenceError(f"barrier Newton fit did not converge within {_MAX_STEPS} steps",
-                           best_state=_rho(x), gap=_gap(x, _likelihood(x, counts, scale)[1]))
+                           best_state=_rho(x), gap=_gap(x, grad))
 
 
 # --- count file I/O -------------------------------------------------------------

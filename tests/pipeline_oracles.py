@@ -1,7 +1,16 @@
 """Test-side reader of the pipeline's tables, kept out of the package,
-which only writes them."""
+which only writes them, and the sweep tables as the package wrote them when
+write_table formatted every cell itself."""
 
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from biphoton import __version__, states
 from biphoton.errors import ParseError, read_text
+from biphoton.multipair import effective_g, rates_primed
+from biphoton.pipeline import FIDELITY_REFERENCES, SWEEP_HEADER
 
 
 def read_table(path):
@@ -22,3 +31,54 @@ def read_table(path):
     if header is None:
         raise ParseError(f"{path}: no header row")
     return header, rows
+
+
+def write_table_per_cell(path, header, rows, meta):
+    """write_table when every cell was a value it formatted: repr(float(v))
+    for a float cell, str(v) for any other."""
+    lines = [f"# {k}={v}" for k, v in meta.items()]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(
+            ",".join(
+                repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                for v in row
+            )
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def sweep_tables_per_cell(cfg, out_path):
+    """The three tables of run_sweep, assembled from numeric rows that
+    write_table_per_cell formats cell by cell, each table on its own."""
+    rows = []
+    for eta in sorted(cfg.eta_list):
+        for power in sorted(cfg.sweep_grid):
+            mu = cfg.calibration.pairs_per_power * power
+            rates = rates_primed(replace(cfg.source, mu=mu, eta=eta))
+            g = effective_g(rates)
+            m = states.werner_metrics(g)
+            rows.append([
+                float(power), float(mu), float(eta), cfg.source.alpha,
+                rates.r_hh, rates.r_hv, rates.r_hr,
+                g, m.tangle, m.linear_entropy, m.fidelity,
+            ])
+    out_path = Path(out_path)
+    meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
+    write_table_per_cell(out_path, SWEEP_HEADER, rows, meta)
+
+    fig2_rows = []
+    for g in np.linspace(0.0, 1.0, 201).tolist():
+        m = states.werner_metrics(g)
+        fig2_rows.append(["curve", g, m.linear_entropy, m.tangle])
+    for row in rows:
+        fig2_rows.append(["model", row[7], row[9], row[8]])
+    write_table_per_cell(out_path.with_name(out_path.stem + "_fig2" + out_path.suffix),
+                         ["kind", "g", "linear_entropy", "tangle"], fig2_rows, meta)
+
+    fig1b_rows = [
+        [row[0], row[2], row[10]] + list(FIDELITY_REFERENCES.values()) for row in rows
+    ]
+    write_table_per_cell(out_path.with_name(out_path.stem + "_fig1b" + out_path.suffix),
+                         ["power", "eta", "fidelity"] + list(FIDELITY_REFERENCES),
+                         fig1b_rows, meta)

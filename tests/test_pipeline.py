@@ -14,7 +14,7 @@ import biphoton
 from biphoton import cli, pipeline, states, tomography
 from biphoton.errors import ConfigError, ConvergenceError, ParseError, ValidationError
 from biphoton.multipair import SourceParams, effective_g, rates_primed
-from pipeline_oracles import read_table
+from pipeline_oracles import read_table, sweep_tables_per_cell
 
 
 def write_config(path, extra=""):
@@ -340,6 +340,72 @@ class TestSweep:
             path = out.with_name(out.stem + suffix + out.suffix)
             header, raw = read_table(path)
             assert raw
+
+
+SWEEP_SUFFIXES = ("", "_fig2", "_fig1b")
+
+
+def assert_sweep_tables_match_per_cell(cfg, directory):
+    """run_sweep's three tables equal, byte for byte, those of the oracle
+    that formats every cell of every table on its own."""
+    (directory / "new").mkdir(parents=True)
+    (directory / "old").mkdir()
+    pipeline.run_sweep(cfg, directory / "new" / "sweep.csv")
+    sweep_tables_per_cell(cfg, directory / "old" / "sweep.csv")
+    for suffix in SWEEP_SUFFIXES:
+        name = f"sweep{suffix}.csv"
+        assert (directory / "new" / name).read_bytes() == (directory / "old" / name).read_bytes()
+
+
+def grid_config(path, etas, powers, extra=""):
+    return pipeline.load_config(write_config(
+        path, f"sweep.eta_list={','.join(etas)}\nsweep.power_grid={','.join(powers)}\n" + extra
+    ))
+
+
+class TestSweepTableText:
+    """Each sweep number is formatted once and the companions repeat the main
+    table's text; the per-cell oracle of pipeline_oracles stays the judge."""
+
+    def test_readme_grid(self, tmp_path):
+        cfg = grid_config(tmp_path / "run.cfg", ["0.001", "0.03", "0.20", "1.00"],
+                          ["1", "5", "10", "50", "100", "200"])
+        assert_sweep_tables_match_per_cell(cfg, tmp_path)
+        _, raw = read_table(tmp_path / "new" / "sweep.csv")
+        assert raw[0][:4] == ["1.0", "0.01", "0.001", "0.005"]
+
+    def test_high_power_grid(self, tmp_path):
+        # 8 etas and 40 powers drawn as the sweep-high-power benchmark draws them
+        rng = np.random.default_rng([11, 1_000_003])
+        etas = [repr(float(e)) for e in 10 ** rng.uniform(-3, 0, 8)]
+        powers = [repr(float(p)) for p in 10 ** rng.uniform(0, 3, 40)]
+        cfg = grid_config(tmp_path / "run.cfg", etas, powers)
+        assert_sweep_tables_match_per_cell(cfg, tmp_path)
+        _, raw = read_table(tmp_path / "new" / "sweep.csv")
+        assert len(raw) == 320
+
+    def test_companions_repeat_the_main_cells(self, tmp_path):
+        cfg = grid_config(tmp_path / "run.cfg", ["0", "0.5", "1"], ["1e-3", "7", "1e4"])
+        pipeline.run_sweep(cfg, tmp_path / "sweep.csv")
+        _, main = read_table(tmp_path / "sweep.csv")
+        _, fig2 = read_table(tmp_path / "sweep_fig2.csv")
+        _, fig1b = read_table(tmp_path / "sweep_fig1b.csv")
+        assert [r[1:] for r in fig2 if r[0] == "model"] == [[r[7], r[9], r[8]] for r in main]
+        assert fig1b == [[r[0], r[2], r[10], "1.0", "0.5", "0.25"] for r in main]
+
+    @given(
+        etas=st.lists(st.one_of(st.sampled_from(["0", "1", "0.5"]),
+                                st.floats(0, 1).map(repr)), min_size=1, max_size=3),
+        powers=st.lists(st.one_of(st.integers(1, 10_000).map(str),
+                                  st.floats(1e-3, 1e4).map(repr)), min_size=1, max_size=4),
+        alpha=st.sampled_from(["1", "0.005", "0.01"]),
+        pairs_per_power=st.sampled_from(["1", "0.01"]),
+    )
+    def test_any_grid(self, tmp_path_factory, etas, powers, alpha, pairs_per_power):
+        directory = tmp_path_factory.mktemp("sweep")
+        cfg = grid_config(directory / "run.cfg", etas, powers,
+                          f"source.alpha={alpha}\ncalibration.pairs_per_power={pairs_per_power}\n")
+        assert_sweep_tables_match_per_cell(cfg, directory)
 
 
 class TestMetricsCommand:

@@ -392,6 +392,49 @@ def test_boundary_count_files_converge(tmp_path, counts):
     )
 
 
+def boundary_inputs():
+    """54 simulated count vectors near the PSD boundary, with the scale
+    read_counts gives them: every fit runs the barrier loop."""
+    return [
+        count_vector(tomography.simulate_counts(rho, scale, seed=seed).counts)
+        for rho in (states.ideal_bell(), states.werner(0.002), states.werner(0.01))
+        for scale in (1e3, 1e4, 1e5)
+        for seed in range(6)
+    ]
+
+
+class TestBarrierOncePerIterate:
+    """The loop forms the likelihood and barrier terms once per x; the loop that
+    formed them at every step, in tomography_oracles, stays the oracle."""
+
+    def cases(self):
+        return [count_vector(c) for c in BOUNDARY_FILES] + boundary_inputs()
+
+    def test_matches_the_recomputing_loop(self, monkeypatch):
+        cases = self.cases()
+        fits = [tomography.mle_reconstruct(cv) for cv in cases]
+        monkeypatch.setattr(tomography, "_barrier_fit", to.barrier_fit_reference)
+        for cv, (rho, steps) in zip(cases, fits):
+            rho_ref, steps_ref = tomography.mle_reconstruct(cv)
+            assert steps > 1
+            assert steps == steps_ref
+            assert np.array_equal(rho, rho_ref)
+
+    def test_no_repeated_likelihood_call(self, monkeypatch):
+        likelihood = tomography._likelihood
+        for cv in self.cases():
+            xs = []
+
+            def recording(x, *args):
+                xs.append(x.copy())
+                return likelihood(x, *args)
+
+            monkeypatch.setattr(tomography, "_likelihood", recording)
+            _, steps = tomography.mle_reconstruct(cv)
+            assert len(xs) <= steps
+            assert not any(np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+
+
 def saddle_case():
     """Low-power Werner counts on which the Cholesky-factor fits (L-BFGS and
     Nelder-Mead) stop at a rank-2 stationary point, objective 0.176851 and

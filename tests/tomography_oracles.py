@@ -16,6 +16,10 @@ density matrices and share no code with its barrier Newton fit:
   step projected back by projecting the eigenvalues onto the probability
   simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
 
+`barrier_fit_reference` is the package's barrier Newton loop as it was
+before it formed the likelihood and barrier terms once per iterate: it
+recomputes them at the top of every step, also where x has not moved.
+
 The Cholesky form is the Burer-Monteiro factorization (Math. Program. 95,
 329 (2003)): at a rank-deficient rho it has stationary points that are not
 minima, and the first two fits can stop there on boundary inputs. The
@@ -193,3 +197,38 @@ def projected_gradient_fit(cv):
         rho, f, theta = nxt, f_nxt, theta_next
         step *= 1.1
     return rho
+
+
+# --- the barrier loop, recomputing every step ----------------------------------
+
+
+def barrier_fit_reference(x, counts, scale):
+    """tomography._barrier_fit as it was when each step began by evaluating
+    _likelihood and _neg_log_det at x, whether or not the last step moved x
+    (the first step repeats the call before the loop, and the step after each
+    centering repeats the one before it). Returns (rho, steps)."""
+    t_ = tomography
+    f, grad, _ = t_._likelihood(x, counts, scale)
+    mu = max(t_._gap(x, grad), t_._REL_TOL * max(1.0, f)) / 4
+    w, v = np.linalg.eigh(t_._rho(x))
+    for steps in range(1, t_._MAX_STEPS + 1):
+        f, grad, hess = t_._likelihood(x, counts, scale)
+        barrier, dbarrier, d2barrier = t_._neg_log_det(w, v)
+        g = grad + mu * dbarrier
+        dx = np.linalg.solve(hess + mu * d2barrier, -g)
+        lam2 = -(g @ dx) / mu
+        t = 1.0
+        while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
+            trial = x + t * dx
+            w_trial, v_trial = np.linalg.eigh(t_._rho(trial))
+            if w_trial[0] > 0 and (t_._objective(trial, counts, scale)
+                                   - mu * np.sum(np.log(w_trial))
+                                   <= f + mu * barrier - t * mu * lam2 / 4):
+                x, w, v = trial, w_trial, v_trial
+                break
+            t /= 2
+        else:
+            if 4 * mu <= t_._REL_TOL * max(1.0, f):
+                return t_._rho(x), steps
+            mu /= 100
+    raise RuntimeError("reference barrier fit did not converge")
