@@ -41,8 +41,9 @@ class ConvergenceError(BiphotonError):
 
 
 def read_text(path):
-    """Contents of a UTF-8 text file; bytes that do not decode are a ParseError."""
+    """Contents of a UTF-8 text file, less a leading byte-order mark; bytes
+    that do not decode are a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

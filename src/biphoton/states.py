@@ -69,16 +69,19 @@ def werner_metrics(g):
 
 
 def validate(rho):
-    """The one physicality check: rho must be Hermitian and unit-trace to
-    1e-12, with no eigenvalue below -1e-10.
+    """The one physicality check: rho must be finite, Hermitian and
+    unit-trace to 1e-12, with no eigenvalue below -1e-10.
 
     Returns the smallest eigenvalue of rho's Hermitian part. Raises
-    ValidationError naming the violated invariants (hermiticity, trace,
-    positivity, in that order), and ValueError if rho is not 4x4.
+    ValidationError for a non-finite entry, or naming the violated
+    invariants (hermiticity, trace, positivity, in that order), and
+    ValueError if rho is not 4x4.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected 4x4 array, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValidationError("invalid density matrix: non-finite entries")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace = float(abs(np.trace(rho) - 1))
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])

@@ -6,7 +6,7 @@ convention only flips the sign of imaginary parts of reconstructed
 off-diagonals; all shipped tests use this convention.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,10 +63,13 @@ def expected_probabilities(rho):
 
 @dataclass
 class CountVector:
-    """Coincidence counts per projector plus the unit-probability scale."""
+    """Coincidence counts per projector. total_scale, the expected count of a
+    unit-probability setting, is derived: the sum over the computational-basis
+    settings, whose Born probabilities sum to 1 for any state, taken as HH, HV,
+    VH, VV. It may be 0, which the reconstructors reject."""
 
     counts: np.ndarray
-    total_scale: float
+    total_scale: float = field(init=False)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
@@ -74,44 +77,39 @@ class CountVector:
             raise ValidationError(f"expected 16 counts, got shape {self.counts.shape}")
         if not (np.all(np.isfinite(self.counts)) and np.all(self.counts >= 0)):
             raise ValidationError("counts must be finite and non-negative")
-        if not 0 < self.total_scale < np.inf:
-            raise ValidationError("total_scale must be positive and finite")
+        with np.errstate(over="ignore"):
+            self.total_scale = float(np.sum(self.counts[[0, 1, 3, 2]]))
+        if self.total_scale == np.inf:
+            raise ValidationError("computational-basis count sum overflows float arithmetic")
 
 
-def default_total_scale(counts):
-    """Counts expected for a unit-probability projector: the sum over the
-    computational-basis settings, whose Born probabilities sum to 1 for
-    any state. Summed as HH, HV, VH, VV."""
-    return float(np.sum(np.asarray(counts, dtype=float)[[0, 1, 3, 2]]))
+def simulate_counts(rho, scale, seed):
+    """Poisson-sample coincidence counts for every setting, scale being the
+    expected count of a unit-probability setting.
 
-
-def simulate_counts(rho, total_scale, seed):
-    """Poisson-sample coincidence counts for every setting.
-
-    Deterministic in (rho, total_scale, seed).
+    Deterministic in (rho, scale, seed).
     """
-    if not 0 < total_scale < np.inf:
-        raise ValidationError("total_scale must be positive and finite")
+    if not 0 < scale < np.inf:
+        raise ValidationError("scale must be positive and finite")
     probs = expected_probabilities(rho)
     rng = np.random.default_rng(seed)
     try:
-        counts = rng.poisson(total_scale * np.clip(probs, 0, None)).astype(float)
+        counts = rng.poisson(scale * np.clip(probs, 0, None)).astype(float)
     except ValueError as exc:
-        raise ValidationError(f"cannot sample counts at total_scale={total_scale!r}: {exc}") from exc
-    return CountVector(counts, float(total_scale))
+        raise ValidationError(f"cannot sample counts at scale={scale!r}: {exc}") from exc
+    return CountVector(counts)
 
 
 def linear_reconstruct(cv):
     """Linear-inversion estimate rho = sum_nu r_nu M_nu from a CountVector,
-    with r_nu the counts over their computational-basis sum.
+    with r_nu the counts over their total_scale.
 
     Hermitian and unit-trace by construction, but may carry negative
     eigenvalues for noisy counts.
     """
-    norm = default_total_scale(cv.counts)
-    if norm <= 0:
+    if cv.total_scale == 0:
         raise DegenerateInputError("computational-basis counts are all zero")
-    r = cv.counts / norm
+    r = cv.counts / cv.total_scale
     rho = np.einsum("v,vij->ij", r, DUAL_BASIS)
     return (rho + rho.conj().T) / 2
 
@@ -173,11 +171,10 @@ def mle_reconstruct(cv):
     total_scale sets the expected count of a unit-probability setting.
 
     f = sum_nu (m_nu - n_nu)^2 / 2 max(m_nu, 1e-9 scale) is non-negative, so
-    f itself bounds f - f*. When total_scale is the computational-basis sum
-    of the counts, as read_counts sets it, the linear estimate fits all 16
-    counts (16 settings for 15 parameters and the normalization), and a
-    positive-definite one is returned after one pass, certified by
-    f <= 1e-10. Otherwise a log-det barrier method (Boyd & Vandenberghe,
+    f itself bounds f - f*. The linear estimate fits all 16 counts (16
+    settings for 15 parameters and the normalization, which total_scale
+    fixes), so a positive-definite one is returned after one pass, certified
+    by f <= 1e-10. Otherwise a log-det barrier method (Boyd & Vandenberghe,
     Convex Optimization (2004), ch. 11) takes damped Newton steps on
     F = f - mu log det rho, so rho stays positive definite, and ends once
     4 mu, a bound on f - f* at a centered iterate (f is convex in rho but
@@ -253,8 +250,7 @@ def write_counts(cv, path, comments=("label,count",)):
 
 
 def read_counts(path):
-    """Parse a 16-row count file into a CountVector whose total_scale is
-    the computational-basis count sum."""
+    """Parse a 16-row count file into a CountVector."""
     seen = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -278,8 +274,7 @@ def read_counts(path):
     missing = [lab for lab in CANONICAL_LABELS if lab not in seen]
     if missing:
         raise ParseError(f"{path}: missing labels {missing}")
-    counts = np.array([seen[lab] for lab in CANONICAL_LABELS])
-    total_scale = default_total_scale(counts)
-    if total_scale <= 0:
+    cv = CountVector([seen[lab] for lab in CANONICAL_LABELS])
+    if cv.total_scale == 0:
         raise DegenerateInputError(f"{path}: computational-basis counts are zero")
-    return CountVector(counts, float(total_scale))
+    return cv

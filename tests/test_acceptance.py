@@ -187,7 +187,7 @@ def test_criterion_8_tomography_round_trip():
     for _ in range(5):
         rho = random_state(rng)
         probs = tomography.expected_probabilities(rho)
-        est, _ = tomography.mle_reconstruct(tomography.CountVector(probs * 1e6, 1e6))
+        est, _ = tomography.mle_reconstruct(tomography.CountVector(probs * 1e6))
         ok &= np.max(np.abs(est - rho)) < 1e-3
         ok &= physical(est)
     n_good = 0

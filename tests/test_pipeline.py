@@ -15,6 +15,7 @@ from biphoton import cli, pipeline, states, tomography
 from biphoton.errors import ConfigError, ConvergenceError, ParseError, ValidationError
 from biphoton.multipair import SourceParams, effective_g, rates_primed
 from pipeline_oracles import read_table, sweep_tables_per_cell
+from test_tomography import BOUNDARY_FILES
 
 
 def write_config(path, extra=""):
@@ -49,6 +50,16 @@ class TestConfig:
         cfg_path = write_config(tmp_path / "run.cfg", "sweep.power_grid=-1,2\n")
         with pytest.raises(ConfigError):
             pipeline.load_config(cfg_path)
+
+    def test_byte_order_mark(self, tmp_path):
+        # a config saved with a UTF-8 byte-order mark keeps its first key
+        text = "seed=5\nsimulate.power_grid=1\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        cfg = pipeline.load_config(bom)
+        assert cfg.seed == 5
+        assert cfg.config_hash == pipeline.load_config(plain).config_hash
 
 
 class TestTables:
@@ -142,7 +153,7 @@ class TestTomoBatch:
     def test_noiseless_ideal_metrics(self, tmp_path):
         probs = tomography.expected_probabilities(states.ideal_bell())
         path = tmp_path / "ideal.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
         records, errors = pipeline.run_tomo([str(path)], tmp_path / "out")
         assert not errors
         m = records[0].metrics
@@ -153,7 +164,7 @@ class TestTomoBatch:
     def test_report_round_trips(self, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
         records, _ = pipeline.run_tomo([str(path)], tmp_path / "out")
         report = (tmp_path / "out" / "w_report.txt").read_text()
         rho = states.parse_density_matrix(report)
@@ -179,7 +190,7 @@ class TestTomoBatch:
             (tmp_path / sub).mkdir()
             probs = tomography.expected_probabilities(states.werner(g))
             files.append(tmp_path / sub / "c.txt")
-            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), files[-1])
+            tomography.write_counts(tomography.CountVector(probs * 1e6), files[-1])
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert [r.label for r in records] == ["c"]
         assert records[0].metrics.werner_g == pytest.approx(0.3, abs=1e-6)
@@ -195,7 +206,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / "good.txt", tmp_path / os.fsdecode(b"\xffbad.txt")]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert not errors
         assert [r.label for r in records] == ["\\xffbad", "good"]
@@ -208,7 +219,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / "a.txt", tmp_path / "b.txt"]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
         (tmp_path / "out" / "a_report.txt").mkdir(parents=True)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert [r.label for r in records] == ["b"]
@@ -221,7 +232,7 @@ class TestTomoBatch:
         # the columns follow StateMetrics' fields; a change there shows here
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
         pipeline.run_tomo([str(path)], tmp_path / "out")
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert [line for line in lines if not line.startswith("#")][0] == (
@@ -239,7 +250,7 @@ class TestTomoBatch:
         for name, factor in (("unit", 1.0), ("x1e100", 1e100), ("x1e150", 1e150),
                              ("x1e300", 1e300)):
             files.append(tmp_path / f"{name}.txt")
-            tomography.write_counts(tomography.CountVector(counts * factor, 1.0), files[-1])
+            tomography.write_counts(tomography.CountVector(counts * factor), files[-1])
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         unit, *scaled = records
         assert [r.label for r in records] == ["unit", "x1e100", "x1e150"]
@@ -256,7 +267,7 @@ class TestTomoBatch:
         # tomo reads no config, so its summary names no seed or config hash
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
         pipeline.run_tomo([str(path)], tmp_path / "out")
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         comments = [line for line in lines if line.startswith("#")]
@@ -453,17 +464,19 @@ class TestOneValidation:
 
     @pytest.mark.parametrize("certified", [True, False], ids=["certified-start", "barrier-fit"])
     def test_analyze_counts(self, calls, certified):
-        cv = tomography.simulate_counts(states.werner(0.1), 1e5, seed=4)
         if certified:
-            cv = tomography.CountVector(cv.counts, tomography.default_total_scale(cv.counts))
+            cv = tomography.simulate_counts(states.werner(0.1), 1e5, seed=4)
+        else:
+            cv = tomography.CountVector(BOUNDARY_FILES[0])
         record = pipeline.analyze_counts(cv, "w")
+        assert (record.optimizer_evals == 1) == certified
         assert len(calls) == 1
         assert record.metrics.min_eigenvalue == states.validate(record.rho)
 
     def test_run_tomo_summary_reads_it(self, calls, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
         (record,), _ = pipeline.run_tomo([str(path)], tmp_path / "out")
         assert len(calls) == 1
         header, (row,) = read_table(tmp_path / "out" / "summary.csv")
@@ -530,7 +543,7 @@ class TestTextEncoding:
         probs = tomography.expected_probabilities(states.werner(0.3))
         bad = os.fsdecode(b"\xffbad.txt")
         for name in ("good.txt", bad):
-            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), tmp_path / name)
+            tomography.write_counts(tomography.CountVector(probs * 1e6), tmp_path / name)
         done = run_cli_strict(["tomo", "good.txt", bad, "--out", "out"], tmp_path)
         assert (done.returncode, done.stderr) == (0, "")
         assert [line.split(":")[0] for line in done.stdout.splitlines()] == ["\\xffbad", "good"]
@@ -584,7 +597,7 @@ class TestCli:
     def test_tomo_nonfinite_count_keeps_batch(self, tmp_path, capsys, value):
         probs = tomography.expected_probabilities(states.werner(0.3))
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
         bad.write_text("".join(
             f"{lab},{value if lab == 'RH' else n}\n"
             for lab, n in zip(tomography.CANONICAL_LABELS, probs * 1e6)
@@ -598,8 +611,24 @@ class TestCli:
 
     def test_tomo_zero_counts_exit_validation(self, tmp_path):
         path = tmp_path / "zero.txt"
-        tomography.write_counts(tomography.CountVector(np.zeros(16), 1.0), path)
+        tomography.write_counts(tomography.CountVector(np.zeros(16)), path)
         assert cli.main(["tomo", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+
+    def test_tomo_overflowing_sum_keeps_batch(self, tmp_path, capsys):
+        # HH + VV overflows float arithmetic: a validation error for that file,
+        # with no RuntimeWarning (the suite turns warnings into errors)
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        good, huge = tmp_path / "good.txt", tmp_path / "huge.txt"
+        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
+        huge.write_text("".join(
+            f"{lab},{1e308 if lab in ('HH', 'VV') else 1.0}\n" for lab in tomography.CANONICAL_LABELS
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["tomo", str(good), str(huge), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert f"validation error: {huge}" in capsys.readouterr().err
+        assert [p.name for p in out.glob("*_report.txt")] == ["good_report.txt"]
+        _, rows = read_table(out / "summary.csv")
+        assert [r[0] for r in rows] == ["good"]
 
     @pytest.mark.parametrize(
         "command, args, extra, code",
@@ -649,7 +678,7 @@ class TestCli:
         out = tmp_path / "out"
         good = tmp_path / "good.txt"
         probs = tomography.expected_probabilities(states.werner(0.3))
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
         argv = {
             "tomo": ["tomo", str(good), missing, "--out", str(out)],
             "metrics": ["metrics", missing],
@@ -673,7 +702,7 @@ class TestCli:
         out = tmp_path / "out"
         good = tmp_path / "good.txt"
         probs = tomography.expected_probabilities(states.werner(0.3))
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
         argv = {
             "tomo": ["tomo", str(good), str(binary), "--out", str(out)],
             "metrics": ["metrics", str(binary)],
@@ -693,9 +722,9 @@ class TestCli:
         good = tmp_path / "a" / "good.txt"
         good.parent.mkdir()
         probs = tomography.expected_probabilities(states.werner(0.3))
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), good)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
         repeat = tmp_path / "good.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), repeat)
+        tomography.write_counts(tomography.CountVector(probs * 1e6), repeat)
         binary = tmp_path / "bin.txt"
         binary.write_bytes(b"\xff\xfeH\x00")
         bad = tmp_path / "bad.txt"
@@ -727,7 +756,7 @@ class TestCli:
         files = []
         for name in ("a", "b"):
             path = tmp_path / f"{name}.txt"
-            tomography.write_counts(tomography.CountVector(probs * 1e6, 1e6), path)
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
             files.append(str(path))
         fit = tomography.mle_reconstruct
         calls = []

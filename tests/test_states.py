@@ -283,6 +283,19 @@ class TestValidate:
         with pytest.raises(ValidationError, match=r"invalid density matrix: positivity \(.*min_eig=-0\.1\)"):
             states.validate(rho)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_entry(self, entry, where):
+        # a ValidationError, with no RuntimeWarning (the suite turns warnings
+        # into errors), whether or not the entry is mirrored across the diagonal
+        for mirrored in (False, True):
+            rho = states.totally_mixed().astype(complex)
+            rho[where] = entry
+            if mirrored:
+                rho[where[::-1]] = np.conj(entry)
+            with pytest.raises(ValidationError, match="non-finite"):
+                states.validate(rho)
+
 
 class TestSerialization:
     def test_round_trip(self):

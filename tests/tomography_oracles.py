@@ -16,6 +16,10 @@ density matrices and share no code with its barrier Newton fit:
   step projected back by projecting the eigenvalues onto the probability
   simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
 
+`default_total_scale` is the count scale as the package computed it when
+callers passed it to CountVector: CountVector's derived total_scale must
+equal it bit for bit.
+
 `barrier_fit_reference` is the package's barrier Newton loop as it was
 before it formed the likelihood and barrier terms once per iterate: it
 recomputes them at the top of every step, also where x has not moved.
@@ -38,6 +42,13 @@ _LOWER = np.tril_indices(4, -1)
 # projected-gradient steps.
 MAX_EVALS = 200_000
 PG_STEPS = 1_000
+
+
+def default_total_scale(counts):
+    """Counts expected for a unit-probability projector: the sum over the
+    computational-basis settings, whose Born probabilities sum to 1 for
+    any state. Summed as HH, HV, VH, VV."""
+    return float(np.sum(np.asarray(counts, dtype=float)[[0, 1, 3, 2]]))
 
 
 def objective(rho, raw_counts, scale):
