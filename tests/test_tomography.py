@@ -101,6 +101,21 @@ class TestCountVector:
         with pytest.raises(ValidationError):
             tomography.CountVector(counts)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_invalid_scale(self, scale):
+        # the scale is no argument; counts whose computational-basis sum would
+        # be an invalid scale are rejected, a zero sum by the reconstructors
+        with pytest.raises(TypeError):
+            tomography.CountVector(np.ones(16), scale)
+        counts = np.ones(16)
+        counts[[0, 1, 2, 3]] = scale / 4
+        if scale == 0:
+            with pytest.raises(DegenerateInputError):
+                tomography.linear_reconstruct(tomography.CountVector(counts))
+        else:
+            with pytest.raises(ValidationError):
+                tomography.CountVector(counts)
+
     def test_rejects_overflowing_sum(self):
         # HH + VV overflows to inf: a ValidationError, with no RuntimeWarning
         # (the suite turns warnings into errors)
