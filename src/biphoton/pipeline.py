@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, states, tomography
-from .errors import BiphotonError, ConfigError, ParseError, read_text
+from .errors import BiphotonError, ConfigError, DegenerateInputError, ParseError, read_text
 from .multipair import (
     PowerCalibration,
     SourceParams,
@@ -226,7 +226,8 @@ def run_tomo(files, out_dir):
 
 def run_simulate(cfg, out_dir):
     """Synthesize one count file per power-grid point. Deterministic in
-    (config, seed): identical inputs give byte-identical files."""
+    (config, seed): identical inputs give byte-identical files. A point with no
+    HH, HV, VH or VV count, unusable by tomo, raises DegenerateInputError unwritten."""
     if not cfg.simulate_grid:
         raise ConfigError("simulate requires simulate.power_grid")
     out_dir = Path(out_dir)
@@ -236,6 +237,9 @@ def run_simulate(cfg, out_dir):
         mu = cfg.calibration.pairs_per_power * power
         g = effective_g(rates_primed(replace(cfg.source, mu=mu)))
         cv = tomography.simulate_counts(states.werner(g), cfg.scale, seed=[cfg.seed, i])
+        if cv.total_scale == 0:
+            raise DegenerateInputError(f"simulate.scale={cfg.scale!r} gives zero HH, HV, VH and "
+                                       f"VV counts at power={power!r}")
         path = out_dir / f"counts_{i:03d}.txt"
         tomography.write_counts(
             cv,

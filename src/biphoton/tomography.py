@@ -121,35 +121,28 @@ _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1,
 _BASIS = np.stack([np.kron(a, b) / 2 for a in _PAULI for b in _PAULI][1:])
 _DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
 _MAX_STEPS = 500  # Newton-step budget of one fit
-_REL_TOL = 1e-10  # the fit stops once f or 4 mu is at most _REL_TOL * max(1, f)
+_REL_TOL = 1e-10  # the fit stops once f or 4 mu is at most _REL_TOL * max(min(1, 1 / N), f)
 
 
 def _rho(x):
     return np.eye(4) / 4 + (x @ _BASIS.reshape(15, 16)).reshape(4, 4)
 
 
-def _likelihood(x, counts, scale):
-    """f at rho(x), its gradient scale A^T f'(m) and Hessian scale^2 A^T diag(f''(m)) A,
-    with f''(m) = n^2 / m^3 formed as (n / m)^2 / m and the factor scale^2 applied as
-    two factors scale, so that no intermediate outgrows the result."""
-    m = scale * (0.25 + _DESIGN @ x)
-    floor = 1e-9 * scale
-    free = m > floor
-    var = np.where(free, m, floor)
-    d1 = np.where(free, (1 - (counts / var) ** 2) / 2, (m - counts) / floor)
-    d2 = np.where(free, (counts / var) ** 2 / var, 1 / floor)
-    hess = scale * (scale * (_DESIGN.T * d2) @ _DESIGN)
-    return _objective(x, counts, scale), scale * d1 @ _DESIGN, hess
+def _likelihood(x, r):
+    """f at rho(x) for the frequencies r = n / N, its gradient A^T f'(p) and Hessian
+    A^T diag(f''(p)) A, p = 1/4 + A x, with f''(p) = r^2 / p^3 above the floor 1e-9."""
+    p = 0.25 + _DESIGN @ x
+    free = p > 1e-9
+    var = np.where(free, p, 1e-9)
+    d1 = np.where(free, (1 - r**2 / var**2) / 2, (p - r) / 1e-9)
+    d2 = np.where(free, r**2 / var**3, 1e9)
+    return _objective(x, r), d1 @ _DESIGN, (_DESIGN.T * d2) @ _DESIGN
 
 
-def _objective(x, counts, scale):
-    """f alone, for the certified start, the line search's accept test and
-    _likelihood. Each term is formed as (m - n) ((m - n) / 2 var), so that no
-    intermediate outgrows the term itself."""
-    m = scale * (0.25 + _DESIGN @ x)
-    floor = 1e-9 * scale
-    var = np.where(m > floor, m, floor)
-    return float(np.sum((m - counts) * ((m - counts) / (2 * var))))
+def _objective(x, r):
+    """f alone, for the certified start, the line search's accept test and _likelihood."""
+    p = 0.25 + _DESIGN @ x
+    return float(np.sum((p - r) ** 2 / (2 * np.where(p > 1e-9, p, 1e-9))))
 
 
 def _neg_log_det(w, v):
@@ -167,24 +160,24 @@ def _gap(x, grad):
 
 def mle_reconstruct(cv):
     """Physical (Hermitian, unit-trace, PSD) estimate maximizing the
-    Gaussian-approximated Poisson likelihood of a CountVector, whose
-    total_scale sets the expected count of a unit-probability setting.
+    Gaussian-approximated Poisson likelihood of a CountVector's frequencies
+    r = n / N, N being its total_scale.
 
-    f = sum_nu (m_nu - n_nu)^2 / 2 max(m_nu, 1e-9 scale) is non-negative, so
-    f itself bounds f - f*. The linear estimate fits all 16 counts (16
-    settings for 15 parameters and the normalization, which total_scale
-    fixes), so a positive-definite one is returned after one pass, certified
-    by f <= 1e-10. Otherwise a log-det barrier method (Boyd & Vandenberghe,
-    Convex Optimization (2004), ch. 11) takes damped Newton steps on
-    F = f - mu log det rho, so rho stays positive definite, and ends once
-    4 mu, a bound on f - f* at a centered iterate (f is convex in rho but
-    for a kink at the variance floor), is at most 1e-10 max(1, f). Returns
-    (rho, steps), steps being the Newton steps taken (1 for a certified
-    start). Raises ConvergenceError with the last state and its certificate
-    gap if the Newton-step budget runs out, and ValidationError if the fit
-    overflows float arithmetic (counts near 1e300).
+    Per unit N, f = sum_nu (p_nu - r_nu)^2 / 2 max(p_nu, 1e-9) is non-negative
+    (p_nu being the Born probabilities), so f itself bounds f - f*. The linear
+    estimate fits all 16 frequencies (16 settings for 15 parameters and the
+    normalization), so a positive-definite one is returned after one pass,
+    certified by f <= tau = 1e-10 min(1, 1 / N). Otherwise a log-det barrier
+    method (Boyd & Vandenberghe, Convex Optimization (2004), ch. 11) takes
+    damped Newton steps on F = f - mu log det rho, so rho stays positive
+    definite, and ends once 4 mu, a bound on f - f* at a centered iterate (f
+    is convex in rho but for a kink at the variance floor), is at most
+    max(tau, 1e-10 f): for N >= 1, the rule on the counts' N f divided by N.
+    Returns (rho, steps), steps being the Newton steps taken (1 for a
+    certified start). Raises ConvergenceError with the last state and its
+    gap per unit N if the Newton-step budget runs out, and ValidationError if
+    the fit overflows float arithmetic (a count out of proportion to N).
     """
-    counts, scale = cv.counts, cv.total_scale
     try:
         with np.errstate(over="raise", invalid="raise"):
             # A singular linear estimate (a rank-deficient one has round-off eigenvalues
@@ -194,21 +187,23 @@ def mle_reconstruct(cv):
             if low < 1e-9:
                 rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
             x = np.einsum("kij,ji->k", _BASIS, rho).real
-            # f - f* <= f <= _REL_TOL: the loop's stop, met at the start
-            if _objective(x, counts, scale) <= _REL_TOL:
+            r = cv.counts / cv.total_scale
+            tol = _REL_TOL / max(1.0, cv.total_scale)
+            # f - f* <= f <= tol: the loop's stop, met at the start
+            if _objective(x, r) <= tol:
                 return _rho(x), 1
-            return _barrier_fit(x, counts, scale)
+            return _barrier_fit(x, r, tol)
     except FloatingPointError as exc:
-        raise ValidationError(f"counts too large for the likelihood's arithmetic ({exc})") from exc
+        raise ValidationError(f"counts out of proportion to their HH+HV+VH+VV sum ({exc})") from exc
 
 
-def _barrier_fit(x, counts, scale):
-    """The barrier Newton loop of mle_reconstruct from the positive-definite rho(x).
+def _barrier_fit(x, r, tol):
+    """The barrier Newton loop of mle_reconstruct on r from the positive-definite rho(x).
     Each trial's eigenpairs are computed once: the accept test's positivity and the
     next step's barrier terms read the same ones, so they cannot disagree in sign.
     The likelihood and barrier terms are formed once per x, when x moves."""
-    f, grad, hess = _likelihood(x, counts, scale)
-    mu = max(_gap(x, grad), _REL_TOL * max(1.0, f)) / 4
+    f, grad, hess = _likelihood(x, r)
+    mu = max(_gap(x, grad), tol, _REL_TOL * f) / 4
     barrier, dbarrier, d2barrier = _neg_log_det(*np.linalg.eigh(_rho(x)))
     for steps in range(1, _MAX_STEPS + 1):
         g = grad + mu * dbarrier
@@ -220,15 +215,15 @@ def _barrier_fit(x, counts, scale):
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
             w_trial, v_trial = np.linalg.eigh(_rho(trial))
-            if w_trial[0] > 0 and (_objective(trial, counts, scale) - mu * np.sum(np.log(w_trial))
+            if w_trial[0] > 0 and (_objective(trial, r) - mu * np.sum(np.log(w_trial))
                                    <= f + mu * barrier - t * mu * lam2 / 4):
                 x = trial
-                f, grad, hess = _likelihood(x, counts, scale)
+                f, grad, hess = _likelihood(x, r)
                 barrier, dbarrier, d2barrier = _neg_log_det(w_trial, v_trial)
                 break
             t /= 2
         else:  # centered, or stalled in rounding
-            if 4 * mu <= _REL_TOL * max(1.0, f):
+            if 4 * mu <= max(tol, _REL_TOL * f):
                 return _rho(x), steps
             mu /= 100
     raise ConvergenceError(f"barrier Newton fit did not converge within {_MAX_STEPS} steps",

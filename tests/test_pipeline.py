@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import biphoton
 from biphoton import cli, pipeline, states, tomography
-from biphoton.errors import ConfigError, ConvergenceError, ParseError, ValidationError
+from biphoton.errors import (
+    ConfigError,
+    ConvergenceError,
+    DegenerateInputError,
+    ParseError,
+    ValidationError,
+)
 from biphoton.multipair import SourceParams, effective_g, rates_primed
 from pipeline_oracles import read_table, sweep_tables_per_cell
 from test_tomography import BOUNDARY_FILES
@@ -113,6 +119,15 @@ class TestSimulate:
                 + "\n"
             )
             assert path.read_text() == expected
+
+    def test_counts_too_few_to_reconstruct(self, tmp_path):
+        # at scale 0.5 the power-1 point draws no HH, HV, VH or VV count, a
+        # file tomo would reject; simulate fails before writing it
+        cfg = pipeline.load_config(write_config(
+            tmp_path / "run.cfg", "simulate.scale=0.5\nsimulate.power_grid=1,10\n"))
+        with pytest.raises(DegenerateInputError, match=r"power=1\.0"):
+            pipeline.run_simulate(cfg, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_low_power_near_ideal(self, tmp_path):
         cfg = pipeline.load_config(
@@ -241,26 +256,30 @@ class TestTomoBatch:
         )
 
     def test_huge_counts(self, tmp_path):
-        # a low-power boundary file (a barrier fit) scaled by up to 1e150 gives
-        # the unscaled state; at 1e300 the likelihood overflows and that file
-        # alone fails, as a validation error (exit 3)
+        # a low-power boundary file (a barrier fit) scaled by up to 1e300 gives
+        # the unscaled state; a file with one count out of proportion to the
+        # HH+HV+VH+VV sum overflows the likelihood and alone fails, as a
+        # validation error (exit 3)
         counts = np.array([49834, 38, 49890, 47, 24996, 25145, 25090, 24817,
                            25327, 50386, 24918, 24866, 25046, 25256, 25182, 50044.0])
+        lopsided = np.ones(16)
+        lopsided[tomography.CANONICAL_LABELS.index("RH")] = 1e300
         files = []
-        for name, factor in (("unit", 1.0), ("x1e100", 1e100), ("x1e150", 1e150),
-                             ("x1e300", 1e300)):
+        for name, cv in (("unit", counts), ("x1e100", counts * 1e100),
+                         ("x1e150", counts * 1e150), ("x1e300", counts * 1e300),
+                         ("lopsided", lopsided)):
             files.append(tmp_path / f"{name}.txt")
-            tomography.write_counts(tomography.CountVector(counts * factor), files[-1])
+            tomography.write_counts(tomography.CountVector(cv), files[-1])
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         unit, *scaled = records
-        assert [r.label for r in records] == ["unit", "x1e100", "x1e150"]
+        assert [r.label for r in records] == ["unit", "x1e100", "x1e150", "x1e300"]
         assert unit.optimizer_evals > 1
         for record in scaled:
             assert np.max(np.abs(record.rho - unit.rho)) < 1e-9
         ((fname, exc),) = errors
-        assert fname == str(files[3]) and isinstance(exc, ValidationError)
+        assert fname == str(files[4]) and isinstance(exc, ValidationError)
         _, rows = read_table(tmp_path / "out" / "summary.csv")
-        assert len(rows) == 3
+        assert len(rows) == 4
         assert cli.main(["tomo", *map(str, files), "--out", str(tmp_path / "cli")]) == 3
 
     def test_summary_carries_no_config_provenance(self, tmp_path):
@@ -643,9 +662,10 @@ class TestCli:
             ("simulate", ["--scale", "1e300"], "", cli.EXIT_VALIDATION),
             ("simulate", ["--scale", "0"], "", cli.EXIT_PARSE),
             ("simulate", ["--scale", "-5"], "", cli.EXIT_PARSE),
+            ("simulate", ["--scale", "0.5"], "simulate.power_grid=1,10\n", cli.EXIT_VALIDATION),
         ],
         ids=["scale-inf", "seed-negative", "eta-above-one", "grid-nan", "pairs-inf", "mu-inf",
-             "scale-1e300", "scale-zero", "scale-negative"],
+             "scale-1e300", "scale-zero", "scale-negative", "scale-below-one-count"],
     )
     def test_bad_values_get_exit_code(self, tmp_path, capsys, command, args, extra, code):
         cfg_path = write_config(
@@ -658,19 +678,21 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", ["--eta", "--scale"])
-    def test_only_simulate_takes_eta_and_scale(self, tmp_path, capsys, flag):
+    # a scale of 0.5 would draw no HH, HV, VH or VV count at power 10
+    @pytest.mark.parametrize("flag, value", [("--eta", "0.5"), ("--scale", "1e4")],
+                             ids=["--eta", "--scale"])
+    def test_only_simulate_takes_eta_and_scale(self, tmp_path, capsys, flag, value):
         cfg_path = write_config(
             tmp_path / "run.cfg",
             "simulate.power_grid=10\nsweep.eta_list=0.03\nsweep.power_grid=10\n",
         )
         sweep = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")]
         with pytest.raises(SystemExit) as exc_info:
-            cli.main([*sweep, flag, "0.5"])
+            cli.main([*sweep, flag, value])
         assert exc_info.value.code == 2
-        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         simulate = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "c")]
-        assert cli.main([*simulate, flag, "0.5"]) == cli.EXIT_OK
+        assert cli.main([*simulate, flag, value]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("command", ["tomo", "metrics", "simulate", "sweep"])
     def test_unreadable_input_exit_parse(self, tmp_path, capsys, command):

@@ -35,6 +35,11 @@ def coordinates(rho):
     return np.einsum("kij,ji->k", tomography._BASIS, rho).real
 
 
+def frequencies(cv):
+    """The counts over their total_scale N, on which the fit works."""
+    return cv.counts / cv.total_scale
+
+
 class TestProjectionSet:
     def test_labels_and_order(self):
         assert tomography.PROJECTORS.shape == (16, 4, 4)
@@ -256,7 +261,8 @@ class TestCertifiedStart:
             assert np.linalg.eigvalsh(linear)[0] >= 1e-9
             rho, steps = tomography.mle_reconstruct(cv)
             assert steps == 1
-            rho_loop, _ = tomography._barrier_fit(coordinates(linear), cv.counts, cv.total_scale)
+            tol = tomography._REL_TOL / max(1.0, cv.total_scale)
+            rho_loop, _ = tomography._barrier_fit(coordinates(linear), frequencies(cv), tol)
             assert np.max(np.abs(rho_loop - rho)) <= 1e-12
 
 
@@ -270,13 +276,13 @@ class TestLikelihoodGradient:
     coordinates of rho, against central differences."""
 
     def check_likelihood(self, x, cv, h):
-        f, grad, hess = tomography._likelihood(x, cv.counts, cv.total_scale)
-        num_grad = central_difference(
-            lambda y: tomography._likelihood(y, cv.counts, cv.total_scale)[0], x, h)
-        num_hess = central_difference(
-            lambda y: tomography._likelihood(y, cv.counts, cv.total_scale)[1], x, h)
-        assert f == pytest.approx(to.objective(tomography._rho(x), cv.counts, cv.total_scale),
-                                  rel=1e-12)
+        # f is per unit N, the count oracle's objective over N
+        r = frequencies(cv)
+        f, grad, hess = tomography._likelihood(x, r)
+        num_grad = central_difference(lambda y: tomography._likelihood(y, r)[0], x, h)
+        num_hess = central_difference(lambda y: tomography._likelihood(y, r)[1], x, h)
+        assert cv.total_scale * f == pytest.approx(
+            to.objective(tomography._rho(x), cv.counts, cv.total_scale), rel=1e-12)
         assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
         assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
 
@@ -310,8 +316,8 @@ class TestLikelihoodGradient:
             for x in points:
                 m = cv.total_scale * tomography.expected_probabilities(tomography._rho(x))
                 below_floor += bool(np.any(m <= 1e-9 * cv.total_scale))
-                assert (tomography._objective(x, cv.counts, cv.total_scale)
-                        == tomography._likelihood(x, cv.counts, cv.total_scale)[0])
+                assert (tomography._objective(x, frequencies(cv))
+                        == tomography._likelihood(x, frequencies(cv))[0])
         assert below_floor >= 4
 
     def test_gap_matches_certificate(self):
@@ -322,8 +328,9 @@ class TestLikelihoodGradient:
         for _ in range(5):
             rho = random_state(rng)
             x = coordinates(rho)
-            gap = tomography._gap(x, tomography._likelihood(x, cv.counts, cv.total_scale)[1])
-            assert gap == pytest.approx(to.certificate(rho, cv.counts, cv.total_scale), rel=1e-9)
+            gap = tomography._gap(x, tomography._likelihood(x, frequencies(cv))[1])
+            assert cv.total_scale * gap == pytest.approx(
+                to.certificate(rho, cv.counts, cv.total_scale), rel=1e-9)
 
     def test_barrier_random_points(self):
         def neg_log_det(y):
@@ -397,6 +404,16 @@ def test_boundary_count_files_converge(tmp_path, counts):
     assert to.objective(rho, cv.counts, cv.total_scale) <= to.objective(
         clipped, cv.counts, cv.total_scale
     )
+
+
+@pytest.mark.parametrize("factor", [1e-100, 1e-12, 1e-10, 1e290, 1e300])
+@pytest.mark.parametrize("counts", BOUNDARY_FILES)
+def test_boundary_fit_is_the_same_in_any_count_unit(counts, factor):
+    # the fit sees the counts only as n / N, so a file in sub-count units fits
+    # as tightly as the unit one, and one near the float range still fits
+    rho, _ = tomography.mle_reconstruct(tomography.CountVector(counts))
+    scaled, _ = tomography.mle_reconstruct(tomography.CountVector(np.multiply(counts, factor)))
+    assert np.max(np.abs(scaled - rho)) <= 1e-6
 
 
 def boundary_inputs():

@@ -213,17 +213,17 @@ def projected_gradient_fit(cv):
 # --- the barrier loop, recomputing every step ----------------------------------
 
 
-def barrier_fit_reference(x, counts, scale):
+def barrier_fit_reference(x, r, tol):
     """tomography._barrier_fit as it was when each step began by evaluating
     _likelihood and _neg_log_det at x, whether or not the last step moved x
     (the first step repeats the call before the loop, and the step after each
     centering repeats the one before it). Returns (rho, steps)."""
     t_ = tomography
-    f, grad, _ = t_._likelihood(x, counts, scale)
-    mu = max(t_._gap(x, grad), t_._REL_TOL * max(1.0, f)) / 4
+    f, grad, _ = t_._likelihood(x, r)
+    mu = max(t_._gap(x, grad), tol, t_._REL_TOL * f) / 4
     w, v = np.linalg.eigh(t_._rho(x))
     for steps in range(1, t_._MAX_STEPS + 1):
-        f, grad, hess = t_._likelihood(x, counts, scale)
+        f, grad, hess = t_._likelihood(x, r)
         barrier, dbarrier, d2barrier = t_._neg_log_det(w, v)
         g = grad + mu * dbarrier
         dx = np.linalg.solve(hess + mu * d2barrier, -g)
@@ -232,14 +232,14 @@ def barrier_fit_reference(x, counts, scale):
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
             w_trial, v_trial = np.linalg.eigh(t_._rho(trial))
-            if w_trial[0] > 0 and (t_._objective(trial, counts, scale)
+            if w_trial[0] > 0 and (t_._objective(trial, r)
                                    - mu * np.sum(np.log(w_trial))
                                    <= f + mu * barrier - t * mu * lam2 / 4):
                 x, w, v = trial, w_trial, v_trial
                 break
             t /= 2
         else:
-            if 4 * mu <= t_._REL_TOL * max(1.0, f):
+            if 4 * mu <= max(tol, t_._REL_TOL * f):
                 return t_._rho(x), steps
             mu /= 100
     raise RuntimeError("reference barrier fit did not converge")
