@@ -11,12 +11,11 @@ summary carries the package version and its file and error counts.
 
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, states, tomography
 from .errors import BiphotonError, ConfigError, DegenerateInputError, ParseError, read_text
@@ -24,6 +23,7 @@ from .multipair import (
     PowerCalibration,
     SourceParams,
     effective_g,
+    g_vs_power_curve,
     rates_primed,
 )
 
@@ -110,14 +110,14 @@ def build_config(keys, overrides=None):
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if not (0 < cfg.scale < np.inf and cfg.seed >= 0):
+    if not (0 < cfg.scale < math.inf and cfg.seed >= 0):
         raise ConfigError(
             f"simulate.scale={cfg.scale!r} must be positive and finite, seed={cfg.seed} >= 0"
         )
     if not all(0 <= eta <= 1 for eta in eta_list):
         raise ConfigError("sweep.eta_list values must lie in [0, 1]")
     mus = [cfg.calibration.pairs_per_power * p for p in sweep_grid + simulate_grid]
-    if not all(0 < mu < np.inf for mu in mus):
+    if not all(0 < mu < math.inf for mu in mus):
         raise ConfigError("power grid values must be positive and give a finite mu")
     return cfg
 
@@ -130,20 +130,12 @@ def load_config(path, overrides=None):
 
 
 def write_table(path, header, rows, meta):
-    """Comma-delimited table with '#' comment lines for provenance. Text
-    cells are written as given, float cells as their repr, which round-trips
-    exactly, and other cells through str."""
+    """Comma-delimited table with '#' comment lines for provenance. Every
+    cell is written through str, which gives a text cell as it is and a
+    float cell as its repr, which round-trips exactly."""
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(header))
-    lines += [
-        ",".join([
-            v if isinstance(v, str)
-            else repr(float(v)) if isinstance(v, (float, np.floating))
-            else str(v)
-            for v in row
-        ])
-        for row in rows
-    ]
+    lines += [",".join(map(str, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -155,7 +147,7 @@ class AnalysisRecord:
     """One reconstructed state plus its metrics and diagnostics."""
 
     label: str
-    rho: np.ndarray
+    rho: object  # 4x4 complex array
     metrics: states.StateMetrics
     optimizer_evals: int
     hr_consistency: float
@@ -185,6 +177,11 @@ def write_report(record, path):
     Path(path).write_text(text, encoding="utf-8")
 
 
+# A label escapes the table delimiter and every character str.splitlines ends a line at.
+_LABEL_ESCAPES = {c: f"\\x{c:02x}" if c < 0x100 else f"\\u{c:04x}"
+                  for c in map(ord, ",\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")}
+
+
 def run_tomo(files, out_dir):
     """Reconstruct every count file; failures are collected, not fatal.
 
@@ -194,7 +191,8 @@ def run_tomo(files, out_dir):
     by file stem, so a file whose stem an earlier one already took is a
     ParseError. A record's label is the stem as text, with each byte the
     filesystem encoding cannot decode written as an escape such as \\xff,
-    so the report, the summary and stdout can all hold it.
+    and so are a comma and each line break (\\x2c, \\x0a, \\u2028, ...), so
+    the label is one cell of the summary and one line of the report and stdout.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,6 +201,7 @@ def run_tomo(files, out_dir):
     for fname in files:
         stem = Path(fname).stem
         label = os.fsencode(stem).decode(sys.getfilesystemencoding(), "backslashreplace")
+        label = label.translate(_LABEL_ESCAPES)
         try:
             if label in first:
                 raise ParseError(f"{fname}: stem {label!r} repeats that of {first[label]}")
@@ -233,9 +232,9 @@ def run_simulate(cfg, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, power in enumerate(cfg.simulate_grid):
+    curve = g_vs_power_curve(cfg.calibration, cfg.source, cfg.simulate_grid)
+    for i, (power, g) in enumerate(curve):
         mu = cfg.calibration.pairs_per_power * power
-        g = effective_g(rates_primed(replace(cfg.source, mu=mu)))
         cv = tomography.simulate_counts(states.werner(g), cfg.scale, seed=[cfg.seed, i])
         if cv.total_scale == 0:
             raise DegenerateInputError(f"simulate.scale={cfg.scale!r} gives zero HH, HV, VH and "
@@ -295,7 +294,7 @@ def run_sweep(cfg, out_path):
     write_table(out_path, SWEEP_HEADER, cells, meta)
 
     fig2_rows = []
-    for g in np.linspace(0.0, 1.0, 201).tolist():
+    for g in [i * 0.005 for i in range(201)]:
         m = states.werner_metrics(g)
         fig2_rows.append(["curve", repr(g), repr(m.linear_entropy), repr(m.tangle)])
     fig2_rows += [["model", c[7], c[9], c[8]] for c in cells]

@@ -121,7 +121,10 @@ _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1,
 _BASIS = np.stack([np.kron(a, b) / 2 for a in _PAULI for b in _PAULI][1:])
 _DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
 _MAX_STEPS = 500  # Newton-step budget of one fit
-_REL_TOL = 1e-10  # the fit stops once f or 4 mu is at most _REL_TOL * max(min(1, 1 / N), f)
+# The fit stops once f or 4 mu is at most max(tau, _REL_TOL * f), with
+# tau = max(_REL_TOL * min(1, 1 / N), _ROUND_TOL).
+_REL_TOL = 1e-10
+_ROUND_TOL = 256 * np.finfo(float).eps ** 2
 
 
 def _rho(x):
@@ -167,12 +170,15 @@ def mle_reconstruct(cv):
     (p_nu being the Born probabilities), so f itself bounds f - f*. The linear
     estimate fits all 16 frequencies (16 settings for 15 parameters and the
     normalization), so a positive-definite one is returned after one pass,
-    certified by f <= tau = 1e-10 min(1, 1 / N). Otherwise a log-det barrier
+    certified by f <= tau = max(1e-10 min(1, 1 / N), 256 eps^2). The floor
+    256 eps^2 (1.3e-29; it decides for N above about 1e19) lies above the
+    rounding level of f at a start that fits every frequency, about 24 eps^2,
+    so the start is certified in any count unit. Otherwise a log-det barrier
     method (Boyd & Vandenberghe, Convex Optimization (2004), ch. 11) takes
     damped Newton steps on F = f - mu log det rho, so rho stays positive
     definite, and ends once 4 mu, a bound on f - f* at a centered iterate (f
     is convex in rho but for a kink at the variance floor), is at most
-    max(tau, 1e-10 f): for N >= 1, the rule on the counts' N f divided by N.
+    max(tau, 1e-10 f): for 1 <= N <= 1e19, the rule on the counts' N f divided by N.
     Returns (rho, steps), steps being the Newton steps taken (1 for a
     certified start). Raises ConvergenceError with the last state and its
     gap per unit N if the Newton-step budget runs out, and ValidationError if
@@ -188,7 +194,7 @@ def mle_reconstruct(cv):
                 rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
             x = np.einsum("kij,ji->k", _BASIS, rho).real
             r = cv.counts / cv.total_scale
-            tol = _REL_TOL / max(1.0, cv.total_scale)
+            tol = max(_REL_TOL / max(1.0, cv.total_scale), _ROUND_TOL)
             # f - f* <= f <= tol: the loop's stop, met at the start
             if _objective(x, r) <= tol:
                 return _rho(x), 1

@@ -230,6 +230,28 @@ class TestTomoBatch:
         _, rows = read_table(tmp_path / "out" / "summary.csv")
         assert [r[0] for r in rows] == ["\\xffbad", "good"]
 
+    def test_labels_fit_one_cell_and_one_line(self, tmp_path):
+        # a comma and each character str.splitlines ends a line at are escaped
+        # in the label, so every summary row parses and every report re-parses
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        breaks = [line[-1] for line in every.splitlines(keepends=True)[:-1]]
+        stems = ["a,b", *(f"x{c}y" for c in breaks)]
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / f"{stem}.txt" for stem in stems]
+        for path in files:
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert not errors and len(records) == len(stems)
+        labels = {r.label for r in records}
+        assert {"a\\x2cb", "x\\x0ay", "x\\x85y", "x\\u2028y"} <= labels
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert {r[0] for r in rows} == labels
+        for stem in stems:
+            report = tmp_path / "out" / f"{stem}_report.txt"
+            first = report.read_text(encoding="utf-8").splitlines()[0]
+            assert first.removeprefix("# state report for ") in labels
+            assert pipeline.run_metrics(report).werner_g == pytest.approx(0.3, abs=1e-6)
+
     def test_unwritable_report_fails_its_file_only(self, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / "a.txt", tmp_path / "b.txt"]

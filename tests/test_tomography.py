@@ -265,6 +265,20 @@ class TestCertifiedStart:
             rho_loop, _ = tomography._barrier_fit(coordinates(linear), frequencies(cv), tol)
             assert np.max(np.abs(rho_loop - rho)) <= 1e-12
 
+    @pytest.mark.parametrize("factor", [1e20, 1e100, 1e300])
+    def test_certified_in_any_count_unit(self, factor):
+        # at N above about 1e20, 1e-10 / N falls below the rounding level of f at
+        # a start that fits every frequency; the floor of tau keeps the start certified
+        for i, g in enumerate([0.3, 0.5, 0.7, 0.9, 1.0]):
+            for scale in (1e3, 1e4, 1e5, 1e6):
+                cv = tomography.simulate_counts(states.werner(g), scale, seed=i)
+                rho, steps = tomography.mle_reconstruct(cv)
+                assert steps == 1
+                scaled, steps = tomography.mle_reconstruct(
+                    tomography.CountVector(cv.counts * factor))
+                assert steps == 1
+                assert np.max(np.abs(scaled - rho)) <= 1e-14
+
 
 def central_difference(fn, x, h):
     """d fn / d x_k for each coordinate k, stacked along the first axis."""
