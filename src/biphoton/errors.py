@@ -1,8 +1,6 @@
 """Exception types shared across the package, and the text-file reader
 that turns undecodable input into one of them."""
 
-from pathlib import Path
-
 
 class BiphotonError(Exception):
     """Base class for all package-specific errors."""
@@ -41,9 +39,10 @@ class ConvergenceError(BiphotonError):
 
 
 def read_text(path):
-    """Contents of a UTF-8 text file, less a leading byte-order mark; bytes
-    that do not decode are a ParseError."""
+    """Contents of a UTF-8 text file, read through open in one call, less a
+    leading byte-order mark; bytes that do not decode are a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

@@ -52,7 +52,7 @@ alpha^2 (mu/4 + mu^2/4) and the Monte Carlo model.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DegenerateInputError
 
@@ -97,24 +97,22 @@ class PowerCalibration:
             raise ValueError("pairs_per_power must be positive and finite")
 
 
-def _pair_factors(alpha, eta, cls):
-    """(w1, s) of class cls: w1 = 1 - z1 and the gap s = 2 w1 - w2 >= 0,
-    where w2 = 1 - z2. Both are formed from alpha directly."""
-    one_minus_c = alpha / 2
-    gap = {"HH": alpha * alpha / 2, "HV": 0.0, "HR": one_minus_c * one_minus_c}
-    if cls not in gap:
-        raise ValueError(f"unknown projection class {cls!r}")
-    return (1 + eta) / 2 * one_minus_c, eta * gap[cls]
+def _rate(mu, w1, e1, gap):
+    """R of the class with gap s, from e1 = expm1(-mu w1)."""
+    return e1 * e1 - math.exp(-mu * (2 * w1 - gap)) * math.expm1(-mu * gap)
 
 
 def rates_primed(p):
-    """Poisson-averaged class probabilities including the window split eta."""
-    vals = []
-    for cls in CLASSES:
-        w1, gap = _pair_factors(p.alpha, p.eta, cls)
-        e1 = math.expm1(-p.mu * w1)
-        vals.append(e1 * e1 - math.exp(-p.mu * (2 * w1 - gap)) * math.expm1(-p.mu * gap))
-    return RateTriple(*vals)
+    """Poisson-averaged class probabilities including the window split eta.
+
+    All three classes share w1 = (1 + eta)/2 (1 - c), with 1 - c = alpha/2,
+    so e1 = expm1(-mu w1) is taken once; the crossed class, whose gap is 0,
+    is e1**2. The gaps are eta alpha**2/2 (HH) and eta (1 - c)**2 (HR)."""
+    mu, one_minus_c = p.mu, p.alpha / 2
+    w1 = (1 + p.eta) / 2 * one_minus_c
+    e1 = math.expm1(-mu * w1)
+    return RateTriple(_rate(mu, w1, e1, p.eta * (p.alpha * p.alpha / 2)), e1 * e1,
+                      _rate(mu, w1, e1, p.eta * (one_minus_c * one_minus_c)))
 
 
 def effective_g(rates):
@@ -137,7 +135,7 @@ def g_vs_power_curve(cal, p_template, powers):
         if power <= 0:
             raise ValueError(f"power={power} must be positive")
         mu = cal.pairs_per_power * power
-        rates = rates_primed(replace(p_template, mu=mu))
+        rates = rates_primed(SourceParams(mu, p_template.alpha, p_template.eta))
         out.append((float(power), effective_g(rates)))
     return out
 

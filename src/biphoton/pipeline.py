@@ -13,8 +13,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__, states, tomography
@@ -136,7 +138,8 @@ def write_table(path, header, rows, meta):
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(header))
     lines += [",".join(map(str, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -153,17 +156,19 @@ class AnalysisRecord:
     hr_consistency: float
 
 
+# RH is the linear-circular consistency setting: 0.25 for Werner states
+_RH_INDEX = tomography.CANONICAL_LABELS.index("RH")
+
+
 def analyze_counts(cv, label):
     rho, steps = tomography.mle_reconstruct(cv)
     metrics = states.compute_metrics(rho)
-    # RH is the linear-circular consistency setting: 0.25 for Werner states
-    rh_index = tomography.CANONICAL_LABELS.index("RH")
     return AnalysisRecord(
         label=label,
         rho=rho,
         metrics=metrics,
         optimizer_evals=steps,
-        hr_consistency=float(cv.counts[rh_index] / cv.total_scale),
+        hr_consistency=float(cv.counts[_RH_INDEX] / cv.total_scale),
     )
 
 
@@ -174,12 +179,31 @@ def write_report(record, path):
         + states.format_density_matrix(record.rho)
         + f"# {format_metrics(record.metrics)}\n"
     )
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-# A label escapes the table delimiter and every character str.splitlines ends a line at.
-_LABEL_ESCAPES = {c: f"\\x{c:02x}" if c < 0x100 else f"\\u{c:04x}"
-                  for c in map(ord, ",\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")}
+def _escape(char):
+    code = ord(char)
+    return f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
+
+
+# A label escapes the table delimiter and every character str.splitlines ends a line at,
+# then a leading '#' and each whitespace character (str.isspace) at either end.
+_LABEL_ESCAPES = {ord(c): _escape(c) for c in ",\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"}
+_LABEL_ENDS = re.compile(r"\A#|\A\s+|\s+\Z")
+
+
+def _label(stem):
+    """The stem as text: a backslash as \\x5c, then each byte the filesystem
+    encoding cannot decode as an escape such as \\xff, then the escapes above."""
+    text = os.fsencode(stem.replace("\\", "\\x5c")).decode(sys.getfilesystemencoding(),
+                                                           "backslashreplace")
+    return _LABEL_ENDS.sub(lambda m: "".join(map(_escape, m[0])), text.translate(_LABEL_ESCAPES))
+
+
+_METRIC_NAMES = tuple(f.name for f in fields(states.StateMetrics))
+_metric_values = attrgetter(*_METRIC_NAMES)
 
 
 def run_tomo(files, out_dir):
@@ -191,8 +215,12 @@ def run_tomo(files, out_dir):
     by file stem, so a file whose stem an earlier one already took is a
     ParseError. A record's label is the stem as text, with each byte the
     filesystem encoding cannot decode written as an escape such as \\xff,
-    and so are a comma and each line break (\\x2c, \\x0a, \\u2028, ...), so
-    the label is one cell of the summary and one line of the report and stdout.
+    and so are a backslash (\\x5c), a comma and each line break (\\x2c,
+    \\x0a, \\u2028, ...), a leading '#' (\\x23) and each whitespace character
+    at either end (\\x20, \\x09, \\u3000, ...). So a name that spells an
+    escape keeps a label of its own, and a label is one cell of the summary
+    that no reader takes for a comment or strips, and one line of the report
+    and stdout.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,23 +228,21 @@ def run_tomo(files, out_dir):
     first = {}
     for fname in files:
         stem = Path(fname).stem
-        label = os.fsencode(stem).decode(sys.getfilesystemencoding(), "backslashreplace")
-        label = label.translate(_LABEL_ESCAPES)
+        label = _label(stem)
         try:
             if label in first:
                 raise ParseError(f"{fname}: stem {label!r} repeats that of {first[label]}")
             first[label] = fname
             cv = tomography.read_counts(fname)
             record = analyze_counts(cv, label)
-            write_report(record, out_dir / f"{stem}_report.txt")
+            write_report(record, os.path.join(out_dir, stem + "_report.txt"))
         except (BiphotonError, OSError) as exc:
             errors.append((str(fname), exc))
             continue
         records.append(record)
     records.sort(key=lambda r: r.label)
-    header = ["label", *(f.name for f in fields(states.StateMetrics)),
-              "optimizer_evals", "hr_consistency"]
-    rows = [[r.label, *astuple(r.metrics), float(r.optimizer_evals), r.hr_consistency]
+    header = ["label", *_METRIC_NAMES, "optimizer_evals", "hr_consistency"]
+    rows = [[r.label, *_metric_values(r.metrics), float(r.optimizer_evals), r.hr_consistency]
             for r in records]
     write_table(out_dir / "summary.csv", header, rows,
                 {"version": __version__, "files": len(files), "errors": len(errors)})
@@ -281,7 +307,7 @@ def run_sweep(cfg, out_path):
     for eta in sorted(cfg.eta_list):
         eta_text = repr(float(eta))
         for (power, mu), (power_text, mu_text) in zip(powers, power_texts):
-            rates = rates_primed(replace(cfg.source, mu=mu, eta=eta))
+            rates = rates_primed(SourceParams(mu, alpha, eta))
             g = effective_g(rates)
             m = states.werner_metrics(g)
             # rates_primed, effective_g and werner_metrics return Python floats

@@ -82,9 +82,10 @@ def validate(rho):
         raise ValueError(f"expected 4x4 array, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValidationError("invalid density matrix: non-finite entries")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(abs(np.trace(rho) - 1))
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
+    adjoint = rho.conj().T
+    herm = float(np.abs(rho - adjoint).max())
+    trace = float(abs(rho.trace() - 1))
+    min_eig = float(np.linalg.eigvalsh((rho + adjoint) / 2)[0])
     failures = [name for name, bad in (("hermiticity", herm > HERMITICITY_TOL),
                                        ("trace", trace > TRACE_TOL),
                                        ("positivity", min_eig < -PSD_TOL)) if bad]
@@ -115,7 +116,7 @@ def fidelity(rho, psi):
 def purity(rho):
     """Tr(rho^2), in [1/4, 1] for a valid two-qubit state."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    return float((rho @ rho).trace().real)
 
 
 def linear_entropy(rho):
@@ -125,8 +126,7 @@ def linear_entropy(rho):
 
 def _sqrtm_psd(rho):
     w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
 
 def concurrence(rho):
@@ -140,8 +140,8 @@ def concurrence(rho):
     eigenvalues would carry sqrt(eps).
     """
     root = _sqrtm_psd(np.asarray(rho, dtype=complex))
-    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False).tolist()
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def tangle(rho):
@@ -160,7 +160,7 @@ def werner_fit(rho):
     clamped to [0, 1]. Forming rho - P first keeps g exactly 0 at rho = P.
     """
     d = (np.asarray(rho, dtype=complex) - _IDEAL).real
-    g = float(np.trace(d) - 2 * (d[0, 0] + d[0, 3] + d[3, 0] + d[3, 3])) / 3
+    g = float(d.trace() - 2 * (d[0, 0] + d[0, 3] + d[3, 0] + d[3, 3])) / 3
     return min(max(g, 0.0), 1.0)
 
 
@@ -199,13 +199,17 @@ def compute_metrics(rho):
 # accepts "(a,b)" pairs and bare reals.
 
 
-def _format_entry(z):
-    return f"{z.real:.17g}{z.imag:+.17g}i"
+_MATRIX_FORMAT = "\n".join([" ".join(["%.17g%+.17gi"] * 4)] * 4) + "\n"
 
 
 def format_density_matrix(rho):
-    rows = np.asarray(rho, dtype=complex).tolist()
-    return "\n".join(" ".join(_format_entry(z) for z in row) for row in rows) + "\n"
+    """The 4x4 matrix as text, each entry "a+bi" with 17 significant digits
+    for its real and imaginary parts, which round-trip exactly: one % format
+    over the 32 parts in row order. Raises ValueError if rho is not 4x4."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected 4x4 array, got shape {rho.shape}")
+    return _MATRIX_FORMAT % tuple(rho.ravel().view(float).tolist())
 
 
 def _parse_entry(token):

@@ -63,10 +63,13 @@ def expected_probabilities(rho):
 
 @dataclass
 class CountVector:
-    """Coincidence counts per projector. total_scale, the expected count of a
-    unit-probability setting, is derived: the sum over the computational-basis
-    settings, whose Born probabilities sum to 1 for any state, taken as HH, HV,
-    VH, VV. It may be 0, which the reconstructors reject."""
+    """Coincidence counts per projector, in CANONICAL_LABELS order, each
+    finite and non-negative (a NaN fails the min/max check). total_scale, the
+    expected count of a unit-probability setting, is derived: the sum over the
+    computational-basis settings, whose Born probabilities sum to 1 for any
+    state, added as Python floats from 0.0 in the order HH, HV, VH, VV, so a sum
+    that overflows is inf and a ValidationError. It may be 0, which the
+    reconstructors reject."""
 
     counts: np.ndarray
     total_scale: float = field(init=False)
@@ -75,10 +78,10 @@ class CountVector:
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.shape != (16,):
             raise ValidationError(f"expected 16 counts, got shape {self.counts.shape}")
-        if not (np.all(np.isfinite(self.counts)) and np.all(self.counts >= 0)):
+        if not (self.counts.min() >= 0 and self.counts.max() < np.inf):
             raise ValidationError("counts must be finite and non-negative")
-        with np.errstate(over="ignore"):
-            self.total_scale = float(np.sum(self.counts[[0, 1, 3, 2]]))
+        hh, hv, vv, vh = self.counts[:4].tolist()
+        self.total_scale = 0.0 + hh + hv + vh + vv
         if self.total_scale == np.inf:
             raise ValidationError("computational-basis count sum overflows float arithmetic")
 
@@ -125,10 +128,11 @@ _MAX_STEPS = 500  # Newton-step budget of one fit
 # tau = max(_REL_TOL * min(1, 1 / N), _ROUND_TOL).
 _REL_TOL = 1e-10
 _ROUND_TOL = 256 * np.finfo(float).eps ** 2
+_MIXED = np.eye(4) / 4
 
 
 def _rho(x):
-    return np.eye(4) / 4 + (x @ _BASIS.reshape(15, 16)).reshape(4, 4)
+    return _MIXED + (x @ _BASIS.reshape(15, 16)).reshape(4, 4)
 
 
 def _likelihood(x, r):
@@ -145,7 +149,7 @@ def _likelihood(x, r):
 def _objective(x, r):
     """f alone, for the certified start, the line search's accept test and _likelihood."""
     p = 0.25 + _DESIGN @ x
-    return float(np.sum((p - r) ** 2 / (2 * np.where(p > 1e-9, p, 1e-9))))
+    return float(((p - r) ** 2 / (2 * np.where(p > 1e-9, p, 1e-9))).sum())
 
 
 def _neg_log_det(w, v):
@@ -191,7 +195,7 @@ def mle_reconstruct(cv):
             rho = linear_reconstruct(cv)
             low = np.linalg.eigvalsh(rho)[0]
             if low < 1e-9:
-                rho += (1e-3 - low) / (0.25 - low) * (np.eye(4) / 4 - rho)
+                rho += (1e-3 - low) / (0.25 - low) * (_MIXED - rho)
             x = np.einsum("kij,ji->k", _BASIS, rho).real
             r = cv.counts / cv.total_scale
             tol = max(_REL_TOL / max(1.0, cv.total_scale), _ROUND_TOL)
@@ -250,9 +254,13 @@ def write_counts(cv, path, comments=("label,count",)):
         fh.write("\n".join(lines) + "\n")
 
 
+_LABEL_INDEX = {lab: i for i, lab in enumerate(CANONICAL_LABELS)}
+
+
 def read_counts(path):
-    """Parse a 16-row count file into a CountVector."""
-    seen = {}
+    """Parse a 16-row count file into a CountVector, each row straight into
+    its canonical slot."""
+    counts = [None] * 16
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -261,9 +269,10 @@ def read_counts(path):
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'label,count'")
         lab = parts[0].strip().upper()
-        if lab not in CANONICAL_LABELS:
+        index = _LABEL_INDEX.get(lab)
+        if index is None:
             raise ParseError(f"{path}:{lineno}: unknown label {lab!r}")
-        if lab in seen:
+        if counts[index] is not None:
             raise ParseError(f"{path}:{lineno}: duplicate label {lab!r}")
         try:
             value = float(parts[1])
@@ -271,11 +280,11 @@ def read_counts(path):
             raise ParseError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
         if not 0 <= value < np.inf:
             raise ParseError(f"{path}:{lineno}: count must be finite and non-negative")
-        seen[lab] = value
-    missing = [lab for lab in CANONICAL_LABELS if lab not in seen]
+        counts[index] = value
+    missing = [lab for lab, n in zip(CANONICAL_LABELS, counts) if n is None]
     if missing:
         raise ParseError(f"{path}: missing labels {missing}")
-    cv = CountVector([seen[lab] for lab in CANONICAL_LABELS])
+    cv = CountVector(counts)
     if cv.total_scale == 0:
         raise DegenerateInputError(f"{path}: computational-basis counts are zero")
     return cv

@@ -4,7 +4,9 @@ its detector, kept as test oracles.
 These are the pair-number series the closed forms in biphoton.multipair
 replace: the multinomial window-split weights, the double loop over splits
 at fixed pair number, and the Poisson-weighted series cut at a finite pair
-number. Next to them sit the per-x class probabilities in the form
+number. Next to them sit the per-class factors (w1, s) and the rates formed
+class by class from them, as rates_primed formed them before it shared
+expm1(-mu w1) among the classes, the per-x class probabilities in the form
 1 - 2 z1**x + z2**x, the earlier closed form of the rates, whose exp(mu s)
 factor overflows once mu s passes about 709, and a Monte Carlo simulation
 of the detector model. None of them is used by the package itself.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton.multipair import CLASSES, RateTriple, _pair_factors
+from biphoton.multipair import CLASSES, RateTriple
 
 _MC_BATCH = 1_000_000  # shots per Monte Carlo batch; each batch seeds its own stream
 
@@ -86,12 +88,33 @@ def series_rates(mu, alpha, eta, x_max=60):
     return tuple(poisson_series(mu, split_sums(alpha, eta, cls, x_max)) for cls in CLASSES)
 
 
+def pair_factors(alpha, eta, cls):
+    """(w1, s) of class cls: w1 = 1 - z1 and the gap s = 2 w1 - w2 >= 0,
+    where w2 = 1 - z2. Both are formed from alpha directly."""
+    one_minus_c = alpha / 2
+    gap = {"HH": alpha * alpha / 2, "HV": 0.0, "HR": one_minus_c * one_minus_c}
+    if cls not in gap:
+        raise ValueError(f"unknown projection class {cls!r}")
+    return (1 + eta) / 2 * one_minus_c, eta * gap[cls]
+
+
+def rates_per_class(p):
+    """(HH, HV, HR) rates as rates_primed formed them class by class, through
+    pair_factors, before the shared expm1(-mu w1) and the crossed e1**2."""
+    out = []
+    for cls in CLASSES:
+        w1, gap = pair_factors(p.alpha, p.eta, cls)
+        e1 = math.expm1(-p.mu * w1)
+        out.append(e1 * e1 - math.exp(-p.mu * (2 * w1 - gap)) * math.expm1(-p.mu * gap))
+    return tuple(out)
+
+
 def expm1_rates(p):
     """(HH, HV, HR) rates as e1**2 + (1 + e1)**2 expm1(mu s), e1 = expm1(-mu w1):
     the closed form as first written, exact but overflowing at large mu s."""
     out = []
     for cls in CLASSES:
-        w1, gap = _pair_factors(p.alpha, p.eta, cls)
+        w1, gap = pair_factors(p.alpha, p.eta, cls)
         e1 = math.expm1(-p.mu * w1)
         out.append(e1 * e1 + (1 + e1) ** 2 * math.expm1(p.mu * gap))
     return tuple(out)
@@ -108,7 +131,7 @@ def class_prob_primed(x, alpha, eta, cls):
     """Class probability for x generated pairs with window-split efficiency eta."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    w1, gap = _pair_factors(alpha, eta, cls)
+    w1, gap = pair_factors(alpha, eta, cls)
     return -2 * _power_minus_one(w1, x) + _power_minus_one(2 * w1 - gap, x)
 
 

@@ -1,16 +1,20 @@
 """Test-side reader of the pipeline's tables, kept out of the package,
-which only writes them, and the sweep tables as the package wrote them when
-write_table formatted every cell itself."""
+which only writes them; the sweep tables as the package wrote them when
+write_table formatted every cell itself; and the files of run_tomo as the
+package wrote them with the per-label parser, the per-entry matrix formatter,
+compute_metrics' numpy calls and summary rows built through astuple."""
 
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from biphoton import __version__, states
+from biphoton import __version__, pipeline, states, tomography
 from biphoton.errors import ParseError, read_text
 from biphoton.multipair import effective_g, rates_primed
 from biphoton.pipeline import FIDELITY_REFERENCES, SWEEP_HEADER
+from states_oracles import compute_metrics_numpy_calls, format_density_matrix_per_entry
+from tomography_oracles import read_counts_per_label
 
 
 def read_table(path):
@@ -82,3 +86,34 @@ def sweep_tables_per_cell(cfg, out_path):
     write_table_per_cell(out_path.with_name(out_path.stem + "_fig1b" + out_path.suffix),
                          ["power", "eta", "fidelity"] + list(FIDELITY_REFERENCES),
                          fig1b_rows, meta)
+
+
+def summary_rows_astuple(records):
+    """run_tomo's summary rows, the metrics taken through dataclasses.astuple."""
+    return [[r.label, *astuple(r.metrics), float(r.optimizer_evals), r.hr_consistency]
+            for r in records]
+
+
+def tomo_texts_per_entry(files):
+    """{file name: text} of the files run_tomo writes for count files whose
+    stems are distinct and need no escape, none of which fails."""
+    texts, records = {}, []
+    rh_index = tomography.CANONICAL_LABELS.index("RH")
+    for path in map(Path, files):
+        counts, total_scale = read_counts_per_label(path)
+        rho, steps = tomography.mle_reconstruct(tomography.CountVector(counts))
+        metrics = compute_metrics_numpy_calls(rho)
+        texts[f"{path.stem}_report.txt"] = (
+            f"# state report for {path.stem}\n" + format_density_matrix_per_entry(rho)
+            + f"# {pipeline.format_metrics(metrics)}\n"
+        )
+        records.append(pipeline.AnalysisRecord(path.stem, rho, metrics, steps,
+                                               float(counts[rh_index] / total_scale)))
+    records.sort(key=lambda r: r.label)
+    header = ["label", *(f.name for f in fields(states.StateMetrics)),
+              "optimizer_evals", "hr_consistency"]
+    lines = [f"# version={__version__}", f"# files={len(files)}", "# errors=0",
+             ",".join(header)]
+    lines += [",".join(map(str, row)) for row in summary_rows_astuple(records)]
+    texts["summary.csv"] = "\n".join(lines) + "\n"
+    return texts

@@ -10,6 +10,12 @@
 - `compute_metrics_composed`: the metrics composed from the public
   functions, each of which validates rho on its own, with the smallest
   eigenvalue returned by a further `validate`.
+- `compute_metrics_numpy_calls`: compute_metrics as written with np.trace,
+  np.max, np.clip and numpy-scalar sums, before array methods, np.maximum
+  and Python floats took their place; the values must agree bit for bit.
+- `format_density_matrix_per_entry`: the matrix text formatted entry by
+  entry with f-strings, before one % format over the 32 parts; the text
+  must agree byte for byte.
 
 None is used by the package itself.
 """
@@ -50,3 +56,33 @@ def compute_metrics_composed(rho):
         werner_g=states.werner_fit(rho),
         min_eigenvalue=states.validate(rho),
     )
+
+
+def compute_metrics_numpy_calls(rho):
+    rho = np.asarray(rho, dtype=complex)
+    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
+    pur = float(np.trace(rho @ rho).real)
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    lam = np.linalg.svd(root @ states._SYSY @ root.conj(), compute_uv=False)
+    c = float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    d = (rho - states.ideal_bell()).real
+    g = float(np.trace(d) - 2 * (d[0, 0] + d[0, 3] + d[3, 0] + d[3, 3])) / 3
+    bell = states.bell_state()
+    return states.StateMetrics(
+        fidelity=float((bell.conj() @ rho @ bell).real),
+        tangle=c * c,
+        linear_entropy=(4.0 / 3.0) * (1.0 - pur),
+        purity=pur,
+        werner_g=min(max(g, 0.0), 1.0),
+        min_eigenvalue=min_eig,
+    )
+
+
+def _format_entry(z):
+    return f"{z.real:.17g}{z.imag:+.17g}i"
+
+
+def format_density_matrix_per_entry(rho):
+    rows = np.asarray(rho, dtype=complex).tolist()
+    return "\n".join(" ".join(_format_entry(z) for z in row) for row in rows) + "\n"

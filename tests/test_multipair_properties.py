@@ -55,3 +55,10 @@ def test_closed_form_matches_its_expm1_form(p):
     r = mp.rates_primed(p)
     for got, want in zip((r.r_hh, r.r_hv, r.r_hr), mo.expm1_rates(p)):
         assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+@given(params(1e300))
+def test_rates_bit_for_bit_the_per_class_form(p):
+    # expm1(-mu w1) taken once and the crossed rate as e1**2 change no bit
+    r = mp.rates_primed(p)
+    assert list(map(repr, (r.r_hh, r.r_hv, r.r_hr))) == list(map(repr, mo.rates_per_class(p)))

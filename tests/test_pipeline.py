@@ -20,7 +20,7 @@ from biphoton.errors import (
     ValidationError,
 )
 from biphoton.multipair import SourceParams, effective_g, rates_primed
-from pipeline_oracles import read_table, sweep_tables_per_cell
+from pipeline_oracles import read_table, sweep_tables_per_cell, tomo_texts_per_entry
 from test_tomography import BOUNDARY_FILES
 
 
@@ -252,6 +252,39 @@ class TestTomoBatch:
             assert first.removeprefix("# state report for ") in labels
             assert pipeline.run_metrics(report).werner_g == pytest.approx(0.3, abs=1e-6)
 
+    def test_labels_read_back_whole(self, tmp_path):
+        # a leading '#' and whitespace at either end are escaped in the label,
+        # so a reader that skips '#' lines or strips lines keeps every row
+        stems = {"#x": "\\x23x", " y ": "\\x20y\\x20", "\tz": "\\x09z",
+                 "w\u3000": "w\\u3000", "# v": "\\x23 v", " #u": "\\x20#u", "a b": "a b"}
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / f"{stem}.txt" for stem in stems]
+        for path in files:
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert not errors
+        assert sorted(r.label for r in records) == sorted(stems.values())
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert sorted(r[0] for r in rows) == sorted(stems.values())
+        for stem, label in stems.items():
+            report = (tmp_path / "out" / f"{stem}_report.txt").read_text(encoding="utf-8")
+            assert report.splitlines()[0].strip() == f"# state report for {label}"
+
+    def test_a_name_that_spells_an_escape_keeps_its_label(self, tmp_path):
+        # a backslash is escaped before an undecodable byte is, so a name that
+        # spells an escape does not take the label of the name it spells
+        stems = {"a,b": "a\\x2cb", "a\\x2cb": "a\\x5cx2cb",
+                 os.fsdecode(b"\xffbad"): "\\xffbad", "\\xffbad": "\\x5cxffbad"}
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / f"{stem}.txt" for stem in stems]
+        for path in files:
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert not errors
+        assert sorted(r.label for r in records) == sorted(stems.values())
+        assert len(list((tmp_path / "out").glob("*_report.txt"))) == 4
+        assert cli.main(["tomo", *map(str, files[:2]), "--out", str(tmp_path / "cli")]) == 0
+
     def test_unwritable_report_fails_its_file_only(self, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / "a.txt", tmp_path / "b.txt"]
@@ -313,6 +346,35 @@ class TestTomoBatch:
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         comments = [line for line in lines if line.startswith("#")]
         assert comments == [f"# version={pipeline.__version__}", "# files=1", "# errors=0"]
+
+
+class TestTomoOutputText:
+    """run_tomo's reports and summary, byte for byte the text of the per-label
+    parser, the per-entry matrix formatter, compute_metrics' numpy calls and
+    astuple rows of pipeline_oracles."""
+
+    def check(self, files, out_dir):
+        records, errors = pipeline.run_tomo(files, out_dir)
+        assert not errors
+        written = {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()}
+        assert written == tomo_texts_per_entry(files)
+        return records
+
+    def test_readme_count_files(self, tmp_path):
+        cfg = pipeline.load_config(
+            write_config(tmp_path / "run.cfg", "simulate.power_grid=1,10,50,100\n")
+        )
+        records = self.check(pipeline.run_simulate(cfg, tmp_path / "counts"), tmp_path / "out")
+        assert len(records) == 4
+
+    def test_bell_boundary_file(self, tmp_path):
+        # the simulated Bell file of the CI's README-flow step, a barrier fit
+        path = tmp_path / "bell.txt"
+        path.write_text("".join(f"{lab},{n}\n" for lab, n in
+                                zip(tomography.CANONICAL_LABELS, BOUNDARY_FILES[2])),
+                        encoding="utf-8")
+        (record,) = self.check([path], tmp_path / "out")
+        assert record.optimizer_evals > 40
 
 
 class TestSweep:

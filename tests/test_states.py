@@ -250,6 +250,12 @@ class TestComputeMetrics:
             assert got == so.compute_metrics_composed(rho)
             assert got.min_eigenvalue == states.validate(rho)
 
+    def test_bit_for_bit_the_numpy_calls(self):
+        # array methods, np.maximum and Python floats in place of np.trace,
+        # np.clip and numpy scalars change no bit, signed zeros included
+        for rho in self.cases():
+            assert repr(states.compute_metrics(rho)) == repr(so.compute_metrics_numpy_calls(rho))
+
     @pytest.mark.parametrize("rho", [
         np.eye(4) / 4 + 0.1j * np.diag([1, 0, 0, 0]),  # not Hermitian
         0.9 * states.totally_mixed(),  # trace 0.9
@@ -314,6 +320,25 @@ class TestSerialization:
         rho = np.array(entries, dtype=complex).reshape(4, 4)
         back = states.parse_density_matrix(states.format_density_matrix(rho))
         assert np.array_equal(back.view(np.uint64), rho.view(np.uint64))
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                         1e-300, -1e-300, np.nan, np.inf, -np.inf]),
+        st.floats(),
+    ), min_size=32, max_size=32))
+    def test_text_equals_the_per_entry_formatter(self, parts):
+        rho = np.array(parts).view(complex).reshape(4, 4)
+        assert states.format_density_matrix(rho) == so.format_density_matrix_per_entry(rho)
+
+    def test_transposed_and_real_input(self):
+        # a real matrix and views that are not C-contiguous format as their values
+        rho = np.arange(16.0).reshape(4, 4) / 7
+        for m in (rho, rho.T, (rho + 1j * rho.T).T, rho.astype(complex)[:, ::-1]):
+            assert states.format_density_matrix(m) == so.format_density_matrix_per_entry(m)
+
+    def test_rejects_a_matrix_not_4x4(self):
+        with pytest.raises(ValueError, match="4x4"):
+            states.format_density_matrix(np.eye(2))
 
     def test_parenthesized_form(self):
         text = "\n".join(" ".join("(0.25,0)" for _ in range(4)) for _ in range(4))

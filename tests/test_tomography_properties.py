@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tomography_oracles as to
 from biphoton import states, tomography
-from biphoton.errors import ValidationError
+from biphoton.errors import BiphotonError, ValidationError
 
 
 def count_vectors(elements):
@@ -40,6 +40,68 @@ def test_total_scale_is_the_computational_basis_sum(counts):
             tomography.CountVector(counts)
     else:
         assert tomography.CountVector(counts).total_scale == expected
+
+
+def outcome(fn, *args):
+    """(counts, repr of total_scale) of a successful call, or the exception's type and message."""
+    try:
+        counts, total_scale = fn(*args)
+    except BiphotonError as exc:
+        return type(exc), str(exc)
+    return counts.tolist(), repr(total_scale)
+
+
+def new_count_vector(counts):
+    cv = tomography.CountVector(counts)
+    return cv.counts, cv.total_scale
+
+
+def new_read_counts(path):
+    cv = tomography.read_counts(path)
+    return cv.counts, cv.total_scale
+
+
+GOOD_COUNTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
+                       st.floats(min_value=0.0, allow_infinity=False))
+BAD_COUNTS = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -5e-324])
+
+
+@given(st.one_of(
+    count_vectors(GOOD_COUNTS),
+    count_vectors(st.one_of(GOOD_COUNTS, BAD_COUNTS, st.floats())),
+    st.lists(GOOD_COUNTS, max_size=17),
+))
+def test_count_vector_checks_as_before(counts):
+    # the same counts and total_scale, bit for bit, or the same error
+    assert outcome(new_count_vector, counts) == outcome(to.count_vector_checks, counts)
+
+
+GOOD_TEXT = st.one_of(
+    st.sampled_from(["0", "-0", "1e308", " 7 ", "5e-324"]),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.integers(min_value=0, max_value=10**6).map(str),
+)
+ANY_TEXT = st.one_of(GOOD_TEXT, st.sampled_from(["nan", "inf", "-1", "1e999", "x", ""]))
+ROW = st.one_of(
+    st.tuples(st.sampled_from(tomography.CANONICAL_LABELS), ANY_TEXT).map(",".join),
+    st.tuples(st.sampled_from(["hh", " Rl ", "XX", ""]), ANY_TEXT).map(",".join),
+    st.sampled_from(["", "# comment", "HH,1,2", "HH"]),
+)
+
+
+def any_order(count_text):
+    """The 16 labels in any order, each with a count drawn from count_text."""
+    return st.permutations(tomography.CANONICAL_LABELS).flatmap(lambda labels: st.tuples(
+        *(count_text.map(lambda n, lab=lab: f"{lab},{n}") for lab in labels)))
+
+
+@given(st.one_of(any_order(GOOD_TEXT), any_order(ANY_TEXT), st.lists(ROW, max_size=20)))
+def test_read_counts_as_before(tmp_path_factory, rows):
+    # rows in any order, with bad labels, counts and lines: the same counts
+    # and total_scale, or the same error with the same line number
+    path = tmp_path_factory.mktemp("counts") / "counts.txt"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert outcome(new_read_counts, path) == outcome(to.read_counts_per_label, path)
 
 
 @settings(max_examples=50, deadline=None)

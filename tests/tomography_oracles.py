@@ -20,6 +20,13 @@ density matrices and share no code with its barrier Newton fit:
 callers passed it to CountVector: CountVector's derived total_scale must
 equal it bit for bit.
 
+`count_vector_checks` and `read_counts_per_label` are CountVector's checks
+and the count-file parser as written before the one-pass parse: the checks
+with np.isfinite and a fancy-indexed np.sum under np.errstate, the parser
+with a dict of seen labels read out in canonical order. Each returns
+(counts, total_scale); the package must give the same values or raise the
+same exception with the same message.
+
 `barrier_fit_reference` is the package's barrier Newton loop as it was
 before it formed the likelihood and barrier terms once per iterate: it
 recomputes them at the top of every step, also where x has not moved.
@@ -35,6 +42,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from biphoton import states, tomography
+from biphoton.errors import DegenerateInputError, ParseError, ValidationError, read_text
 
 _LOWER = np.tril_indices(4, -1)
 
@@ -49,6 +57,49 @@ def default_total_scale(counts):
     computational-basis settings, whose Born probabilities sum to 1 for
     any state. Summed as HH, HV, VH, VV."""
     return float(np.sum(np.asarray(counts, dtype=float)[[0, 1, 3, 2]]))
+
+
+def count_vector_checks(counts):
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (16,):
+        raise ValidationError(f"expected 16 counts, got shape {counts.shape}")
+    if not (np.all(np.isfinite(counts)) and np.all(counts >= 0)):
+        raise ValidationError("counts must be finite and non-negative")
+    with np.errstate(over="ignore"):
+        total_scale = float(np.sum(counts[[0, 1, 3, 2]]))
+    if total_scale == np.inf:
+        raise ValidationError("computational-basis count sum overflows float arithmetic")
+    return counts, total_scale
+
+
+def read_counts_per_label(path):
+    seen = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'label,count'")
+        lab = parts[0].strip().upper()
+        if lab not in tomography.CANONICAL_LABELS:
+            raise ParseError(f"{path}:{lineno}: unknown label {lab!r}")
+        if lab in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate label {lab!r}")
+        try:
+            value = float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
+        if not 0 <= value < np.inf:
+            raise ParseError(f"{path}:{lineno}: count must be finite and non-negative")
+        seen[lab] = value
+    missing = [lab for lab in tomography.CANONICAL_LABELS if lab not in seen]
+    if missing:
+        raise ParseError(f"{path}: missing labels {missing}")
+    counts, total_scale = count_vector_checks([seen[lab] for lab in tomography.CANONICAL_LABELS])
+    if total_scale == 0:
+        raise DegenerateInputError(f"{path}: computational-basis counts are zero")
+    return counts, total_scale
 
 
 def objective(rho, raw_counts, scale):
