@@ -40,9 +40,13 @@ class ConvergenceError(BiphotonError):
 
 def read_text(path):
     """Contents of a UTF-8 text file, read through open in one call, less a
-    leading byte-order mark; bytes that do not decode are a ParseError."""
+    leading byte-order mark; bytes that do not decode, and a name that the
+    filesystem encoding cannot encode, are a ParseError."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{path}: name cannot be encoded in the filesystem encoding "
+                         f"{exc.encoding!r}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

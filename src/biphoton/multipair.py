@@ -49,6 +49,10 @@ enumeration of the detector model, and the rates against a literal
 Poisson-weighted series and the Monte Carlo simulation. Note the single-bracket exponent {1 - (1-alpha)**j} in the HR
 sums: collapsing it to alpha**j would contradict the small-mu asymptote
 alpha^2 (mu/4 + mu^2/4) and the Monte Carlo model.
+
+The scalar state summary, StateMetrics, and its closed form for Werner
+states, werner_metrics, live here too, so the sweep runs on floats alone;
+states re-exports both.
 """
 
 import math
@@ -126,6 +130,39 @@ def effective_g(rates):
     if denom <= 0:
         raise DegenerateInputError("zero coincidence rates: g is undefined")
     return float(min(1.0, max(0.0, 2 * rates.r_hv / denom)))
+
+
+@dataclass(frozen=True)
+class StateMetrics:
+    """The scalar summary computed for every analyzed state."""
+
+    fidelity: float
+    tangle: float
+    linear_entropy: float
+    purity: float
+    werner_g: float
+    min_eigenvalue: float
+
+
+def _check_mixing(g):
+    if not 0 <= g <= 1:
+        raise ValueError(f"mixing parameter g={g} outside [0, 1]")
+
+
+def werner_metrics(g):
+    """compute_metrics(werner(g)) in closed form: fidelity 1 - 3g/4, tangle
+    max(0, 1 - 3g/2)**2 (Wootters, PRL 80, 2245 (1998)), linear entropy
+    g(2 - g), purity 1 - 3g(2 - g)/4 and smallest eigenvalue g/4."""
+    _check_mixing(g)
+    mixedness = g * (2 - g)
+    return StateMetrics(
+        fidelity=1 - 0.75 * g,
+        tangle=max(0.0, 1 - 1.5 * g) ** 2,
+        linear_entropy=mixedness,
+        purity=1 - 0.75 * mixedness,
+        werner_g=g,
+        min_eigenvalue=g / 4,
+    )
 
 
 def g_vs_power_curve(cal, p_template, powers):

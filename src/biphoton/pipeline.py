@@ -7,6 +7,9 @@ Keys no subcommand reads are ignored, apart from entering the config hash.
 All emitted tables are comma-delimited with '#' provenance comments: the
 sweep tables carry the package version, seed and config hash; the tomo
 summary carries the package version and its file and error counts.
+
+Only tomo, simulate and metrics need numpy: their functions import states
+and tomography when they run, so a sweep never loads it.
 """
 
 import hashlib
@@ -19,14 +22,16 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
-from . import __version__, states, tomography
+from . import __version__
 from .errors import BiphotonError, ConfigError, DegenerateInputError, ParseError, read_text
 from .multipair import (
     PowerCalibration,
     SourceParams,
+    StateMetrics,
     effective_g,
     g_vs_power_curve,
     rates_primed,
+    werner_metrics,
 )
 
 DEFAULTS = {
@@ -151,16 +156,16 @@ class AnalysisRecord:
 
     label: str
     rho: object  # 4x4 complex array
-    metrics: states.StateMetrics
+    metrics: StateMetrics
     optimizer_evals: int
     hr_consistency: float
 
 
-# RH is the linear-circular consistency setting: 0.25 for Werner states
-_RH_INDEX = tomography.CANONICAL_LABELS.index("RH")
-
-
 def analyze_counts(cv, label):
+    from . import states, tomography
+
+    # RH is the linear-circular consistency setting: 0.25 for Werner states
+    rh = tomography.CANONICAL_LABELS.index("RH")
     rho, steps = tomography.mle_reconstruct(cv)
     metrics = states.compute_metrics(rho)
     return AnalysisRecord(
@@ -168,11 +173,13 @@ def analyze_counts(cv, label):
         rho=rho,
         metrics=metrics,
         optimizer_evals=steps,
-        hr_consistency=float(cv.counts[_RH_INDEX] / cv.total_scale),
+        hr_consistency=float(cv.counts[rh] / cv.total_scale),
     )
 
 
 def write_report(record, path):
+    from . import states
+
     # metrics ride along as a comment so the file re-parses as a matrix
     text = (
         f"# state report for {record.label}\n"
@@ -184,8 +191,10 @@ def write_report(record, path):
 
 
 def _escape(char):
+    """\\xNN below U+0080, else \\uNNNN: \\xNN with NN from 80 up is how a byte that
+    does not decode is written, so a character never takes the escape of a byte."""
     code = ord(char)
-    return f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
+    return f"\\x{code:02x}" if code < 0x80 else f"\\u{code:04x}"
 
 
 # A label escapes the table delimiter and every character str.splitlines ends a line at,
@@ -194,15 +203,20 @@ _LABEL_ESCAPES = {ord(c): _escape(c) for c in ",\n\v\f\r\x1c\x1d\x1e\x85\u2028\u
 _LABEL_ENDS = re.compile(r"\A#|\A\s+|\s+\Z")
 
 
-def _label(stem):
+def _label(fname, stem):
     """The stem as text: a backslash as \\x5c, then each byte the filesystem
-    encoding cannot decode as an escape such as \\xff, then the escapes above."""
-    text = os.fsencode(stem.replace("\\", "\\x5c")).decode(sys.getfilesystemencoding(),
-                                                           "backslashreplace")
+    encoding cannot decode as an escape such as \\xff, then the escapes above.
+    A stem the filesystem encoding cannot encode is a ParseError naming fname."""
+    try:
+        raw = os.fsencode(stem.replace("\\", "\\x5c"))
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{fname}: name cannot be encoded in the filesystem encoding "
+                         f"{exc.encoding!r}") from exc
+    text = raw.decode(sys.getfilesystemencoding(), "backslashreplace")
     return _LABEL_ENDS.sub(lambda m: "".join(map(_escape, m[0])), text.translate(_LABEL_ESCAPES))
 
 
-_METRIC_NAMES = tuple(f.name for f in fields(states.StateMetrics))
+_METRIC_NAMES = tuple(f.name for f in fields(StateMetrics))
 _metric_values = attrgetter(*_METRIC_NAMES)
 
 
@@ -213,23 +227,27 @@ def run_tomo(files, out_dir):
     A ConvergenceError entry carries the optimizer's best state, and a
     report that cannot be written fails its file only. Reports are named
     by file stem, so a file whose stem an earlier one already took is a
-    ParseError. A record's label is the stem as text, with each byte the
-    filesystem encoding cannot decode written as an escape such as \\xff,
-    and so are a backslash (\\x5c), a comma and each line break (\\x2c,
-    \\x0a, \\u2028, ...), a leading '#' (\\x23) and each whitespace character
-    at either end (\\x20, \\x09, \\u3000, ...). So a name that spells an
+    ParseError, and so is a name the filesystem encoding cannot encode. A
+    record's label is the stem as text, with each byte the filesystem
+    encoding cannot decode written as an escape such as \\xff, and so are a
+    backslash (\\x5c), a comma and each line break (\\x2c, \\x0a, \\u0085,
+    \\u2028, ...), a leading '#' (\\x23) and each whitespace character at
+    either end (\\x20, \\x09, \\u3000, ...); a character is escaped as \\xNN
+    only below U+0080, so never as a byte is. So a name that spells an
     escape keeps a label of its own, and a label is one cell of the summary
     that no reader takes for a comment or strips, and one line of the report
     and stdout.
     """
+    from . import tomography
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, errors = [], []
     first = {}
     for fname in files:
         stem = Path(fname).stem
-        label = _label(stem)
         try:
+            label = _label(fname, stem)
             if label in first:
                 raise ParseError(f"{fname}: stem {label!r} repeats that of {first[label]}")
             first[label] = fname
@@ -253,6 +271,8 @@ def run_simulate(cfg, out_dir):
     """Synthesize one count file per power-grid point. Deterministic in
     (config, seed): identical inputs give byte-identical files. A point with no
     HH, HV, VH or VV count, unusable by tomo, raises DegenerateInputError unwritten."""
+    from . import states, tomography
+
     if not cfg.simulate_grid:
         raise ConfigError("simulate requires simulate.power_grid")
     out_dir = Path(out_dir)
@@ -309,7 +329,7 @@ def run_sweep(cfg, out_path):
         for (power, mu), (power_text, mu_text) in zip(powers, power_texts):
             rates = rates_primed(SourceParams(mu, alpha, eta))
             g = effective_g(rates)
-            m = states.werner_metrics(g)
+            m = werner_metrics(g)
             # rates_primed, effective_g and werner_metrics return Python floats
             computed = [rates.r_hh, rates.r_hv, rates.r_hr,
                         g, m.tangle, m.linear_entropy, m.fidelity]
@@ -321,7 +341,7 @@ def run_sweep(cfg, out_path):
 
     fig2_rows = []
     for g in [i * 0.005 for i in range(201)]:
-        m = states.werner_metrics(g)
+        m = werner_metrics(g)
         fig2_rows.append(["curve", repr(g), repr(m.linear_entropy), repr(m.tangle)])
     fig2_rows += [["model", c[7], c[9], c[8]] for c in cells]
     fig2_path = out_path.with_name(out_path.stem + "_fig2" + out_path.suffix)
@@ -341,6 +361,8 @@ def run_sweep(cfg, out_path):
 
 def run_metrics(path):
     """Validate a serialized density matrix and compute its metrics."""
+    from . import states
+
     return states.compute_metrics(states.parse_density_matrix(read_text(path)))
 
 

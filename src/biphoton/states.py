@@ -2,14 +2,14 @@
 
 The fixed basis order is |HH>, |HV>, |VH>, |VV> everywhere in this package.
 States are plain 4x4 complex numpy arrays; pure states are length-4 complex
-vectors in the same basis.
+vectors in the same basis. StateMetrics and werner_metrics are defined in
+the numpy-free multipair module and re-exported here.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .multipair import StateMetrics, _check_mixing, werner_metrics  # noqa: F401
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -41,31 +41,10 @@ def totally_mixed():
     return np.eye(4, dtype=complex) / 4
 
 
-def _check_mixing(g):
-    if not 0 <= g <= 1:
-        raise ValueError(f"mixing parameter g={g} outside [0, 1]")
-
-
 def werner(g):
     """Mixture (1-g)*ideal + g*I/4 for mixing parameter g in [0, 1]."""
     _check_mixing(g)
     return (1 - g) * ideal_bell() + g * totally_mixed()
-
-
-def werner_metrics(g):
-    """compute_metrics(werner(g)) in closed form: fidelity 1 - 3g/4, tangle
-    max(0, 1 - 3g/2)**2 (Wootters, PRL 80, 2245 (1998)), linear entropy
-    g(2 - g), purity 1 - 3g(2 - g)/4 and smallest eigenvalue g/4."""
-    _check_mixing(g)
-    mixedness = g * (2 - g)
-    return StateMetrics(
-        fidelity=1 - 0.75 * g,
-        tangle=max(0.0, 1 - 1.5 * g) ** 2,
-        linear_entropy=mixedness,
-        purity=1 - 0.75 * mixedness,
-        werner_g=g,
-        min_eigenvalue=g / 4,
-    )
 
 
 def validate(rho):
@@ -162,18 +141,6 @@ def werner_fit(rho):
     d = (np.asarray(rho, dtype=complex) - _IDEAL).real
     g = float(d.trace() - 2 * (d[0, 0] + d[0, 3] + d[3, 0] + d[3, 3])) / 3
     return min(max(g, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class StateMetrics:
-    """The scalar summary computed for every analyzed state."""
-
-    fidelity: float
-    tangle: float
-    linear_entropy: float
-    purity: float
-    werner_g: float
-    min_eigenvalue: float
 
 
 def compute_metrics(rho):

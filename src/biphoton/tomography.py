@@ -38,13 +38,13 @@ CANONICAL_LABELS = (
 )
 
 
-def _projector(label):
-    ket = np.kron(ANALYZER_STATES[label[0]], ANALYZER_STATES[label[1]])
-    return np.outer(ket, ket.conj())
-
-
-# Rank-1 projectors |ab><ab| for the canonical settings, shape (16, 4, 4).
-PROJECTORS = np.stack([_projector(lab) for lab in CANONICAL_LABELS])
+# Rank-1 projectors |ab><ab| for the canonical settings, shape (16, 4, 4). The kets
+# |a> (x) |b> and their outer products are broadcast products: the bytes np.kron and
+# np.outer give (tests/tomography_oracles.kron_constants), at less import cost.
+_FIRST, _SECOND = (np.array([ANALYZER_STATES[lab[i]] for lab in CANONICAL_LABELS])
+                   for i in (0, 1))
+_KETS = (_FIRST[:, :, None] * _SECOND[:, None, :]).reshape(16, 4)
+PROJECTORS = _KETS[:, :, None] * _KETS.conj()[:, None, :]
 
 # Dual basis M_nu with Tr(P_u M_v) = delta_uv, via the real 16x16 Gram
 # matrix G[u,v] = Tr(P_u P_v) of the (informationally complete) set.
@@ -120,8 +120,10 @@ def linear_reconstruct(cv):
 # --- maximum likelihood --------------------------------------------------------
 
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
-# B_k = sigma_i (x) sigma_j / 2 with Tr(B_k B_l) = delta_kl; A[nu, k] = Tr(P_nu B_k)
-_BASIS = np.stack([np.kron(a, b) / 2 for a in _PAULI for b in _PAULI][1:])
+# B_k = sigma_i (x) sigma_j / 2 with Tr(B_k B_l) = delta_kl, for (i, j) != (0, 0), the
+# Kronecker products as one broadcast product; A[nu, k] = Tr(P_nu B_k)
+_BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]
+          ).reshape(16, 4, 4)[1:] / 2
 _DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
 _MAX_STEPS = 500  # Newton-step budget of one fit
 # The fit stops once f or 4 mu is at most max(tau, _REL_TOL * f), with

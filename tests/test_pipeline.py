@@ -243,7 +243,7 @@ class TestTomoBatch:
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert not errors and len(records) == len(stems)
         labels = {r.label for r in records}
-        assert {"a\\x2cb", "x\\x0ay", "x\\x85y", "x\\u2028y"} <= labels
+        assert {"a\\x2cb", "x\\x0ay", "x\\u0085y", "x\\u2028y"} <= labels
         _, rows = read_table(tmp_path / "out" / "summary.csv")
         assert {r[0] for r in rows} == labels
         for stem in stems:
@@ -251,6 +251,22 @@ class TestTomoBatch:
             first = report.read_text(encoding="utf-8").splitlines()[0]
             assert first.removeprefix("# state report for ") in labels
             assert pipeline.run_metrics(report).werner_g == pytest.approx(0.3, abs=1e-6)
+
+    def test_a_character_never_takes_the_label_of_a_byte(self, tmp_path):
+        # U+0085 (a line break) and U+00A0 (whitespace at an end) are escaped as
+        # \u0085 and \u00a0, so they keep apart from the undecodable bytes 0x85
+        # and 0xa0, which are written \x85 and \xa0
+        stems = {"a\x85b": "a\\u0085b", os.fsdecode(b"a\x85b"): "a\\x85b",
+                 "\xa0b": "\\u00a0b", os.fsdecode(b"\xa0b"): "\\xa0b"}
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / f"{stem}.txt" for stem in stems]
+        for path in files:
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert not errors
+        assert sorted(r.label for r in records) == sorted(stems.values())
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert sorted(r[0] for r in rows) == sorted(stems.values())
 
     def test_labels_read_back_whole(self, tmp_path):
         # a leading '#' and whitespace at either end are escaped in the label,
@@ -641,6 +657,31 @@ class TestTextEncoding:
         # ASCII, so the two UTF-8 bytes of the umlaut appear escaped
         env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
         self.check_chain(tmp_path, env, "z\u00e4hler", "z\\xc3\\xa4hler")
+
+    def test_unencodable_name_fails_its_file_only(self, tmp_path):
+        # under an ASCII filesystem encoding a str name with an umlaut, in the
+        # stem or in a directory, cannot be encoded: its file fails as a
+        # ParseError naming it (exit 2), and the batch goes on and writes the summary
+        code = (
+            "from biphoton import cli, pipeline\n"
+            "names = ['z\\u00e4hler.txt', 'd\\u00efr/x.txt', 'missing.txt']\n"
+            "records, errors = pipeline.run_tomo(names, 'out')\n"
+            "print(len(records))\n"
+            "for fname, exc in errors:\n"
+            "    print(ascii(fname), type(exc).__name__, cli._classify(exc)[0],\n"
+            "          str(exc).startswith(f'{fname}: '))\n"
+        )
+        src = Path(biphoton.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, encoding="utf-8")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == ["0", "'z\\xe4hler.txt' ParseError 2 True",
+                                            "'d\\xefr/x.txt' ParseError 2 True",
+                                            "'missing.txt' FileNotFoundError 2 False"]
+        summary = (tmp_path / "out" / "summary.csv").read_text(encoding="utf-8")
+        assert "# errors=3\n" in summary
 
     def test_undecodable_file_name(self, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))

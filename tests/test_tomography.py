@@ -67,6 +67,13 @@ class TestProjectionSet:
         overlap = np.einsum("uij,vji->uv", tomography.PROJECTORS, tomography.DUAL_BASIS).real
         assert np.allclose(overlap, np.eye(16), atol=1e-10)
 
+    def test_constants_are_the_kron_products_bit_for_bit(self):
+        ours = (tomography.PROJECTORS, tomography._BASIS, tomography.DUAL_BASIS,
+                tomography._DESIGN)
+        for got, want in zip(ours, to.kron_constants()):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestExpectedProbabilities:
     def test_bell_values(self):

@@ -27,6 +27,11 @@ with a dict of seen labels read out in canonical order. Each returns
 (counts, total_scale); the package must give the same values or raise the
 same exception with the same message.
 
+`kron_constants` builds the projectors, the Pauli-product basis, the dual
+basis and the design matrix with one np.kron call per product, as the
+package did before it formed them as broadcast products; its arrays must
+equal the package's byte for byte.
+
 `barrier_fit_reference` is the package's barrier Newton loop as it was
 before it formed the likelihood and barrier terms once per iterate: it
 recomputes them at the top of every step, also where x has not moved.
@@ -50,6 +55,22 @@ _LOWER = np.tril_indices(4, -1)
 # projected-gradient steps.
 MAX_EVALS = 200_000
 PG_STEPS = 1_000
+
+
+def kron_constants():
+    """(PROJECTORS, _BASIS, DUAL_BASIS, _DESIGN) through np.kron and np.outer."""
+    def projector(label):
+        ket = np.kron(tomography.ANALYZER_STATES[label[0]], tomography.ANALYZER_STATES[label[1]])
+        return np.outer(ket, ket.conj())
+
+    projectors = np.stack([projector(lab) for lab in tomography.CANONICAL_LABELS])
+    dual = np.einsum("vu,uij->vij",
+                     np.linalg.inv(np.einsum("uij,vji->uv", projectors, projectors).real),
+                     projectors)
+    pauli = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+    basis = np.stack([np.kron(a, b) / 2 for a in pauli for b in pauli][1:])
+    design = np.einsum("nij,kji->nk", projectors, basis).real
+    return projectors, basis, dual, design
 
 
 def default_total_scale(counts):
