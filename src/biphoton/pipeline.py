@@ -117,10 +117,10 @@ def build_config(keys, overrides=None):
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if not (0 < cfg.scale < math.inf and cfg.seed >= 0):
-        raise ConfigError(
-            f"simulate.scale={cfg.scale!r} must be positive and finite, seed={cfg.seed} >= 0"
-        )
+    if not 0 < cfg.scale < math.inf:
+        raise ConfigError(f"simulate.scale={cfg.scale!r} must be positive and finite")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed={cfg.seed} must be >= 0")
     if not all(0 <= eta <= 1 for eta in eta_list):
         raise ConfigError("sweep.eta_list values must lie in [0, 1]")
     mus = [cfg.calibration.pairs_per_power * p for p in sweep_grid + simulate_grid]
@@ -136,15 +136,14 @@ def load_config(path, overrides=None):
 # --- tables ---------------------------------------------------------------------
 
 
-def write_table(path, header, rows, meta):
-    """Comma-delimited table with '#' comment lines for provenance. Every
-    cell is written through str, which gives a text cell as it is and a
-    float cell as its repr, which round-trips exactly."""
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    lines += [",".join(map(str, row)) for row in rows]
+def write_table(path, header, lines, meta):
+    """Comma-delimited table with '#' comment lines for provenance. Each data
+    line comes joined, its cells already text: the writers give a float cell
+    as its repr, which round-trips exactly."""
+    head = [f"# {k}={v}" for k, v in meta.items()]
+    head.append(",".join(header))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(head + lines) + "\n")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -262,7 +261,7 @@ def run_tomo(files, out_dir):
     header = ["label", *_METRIC_NAMES, "optimizer_evals", "hr_consistency"]
     rows = [[r.label, *_metric_values(r.metrics), float(r.optimizer_evals), r.hr_consistency]
             for r in records]
-    write_table(out_dir / "summary.csv", header, rows,
+    write_table(out_dir / "summary.csv", header, [",".join(map(str, row)) for row in rows],
                 {"version": __version__, "files": len(files), "errors": len(errors)})
     return records, errors
 
@@ -313,49 +312,47 @@ def run_sweep(cfg, out_path):
     Writes the main sweep table to out_path plus two companions derived
     from its name: *_fig2* (mixedness-vs-entanglement trajectory, with the
     dense reference curve) and *_fig1b* (fidelity vs power with the ideal,
-    separable-limit and totally-mixed reference values). Each number is
-    formatted once: the companions repeat the main table's cell text.
+    separable-limit and totally-mixed reference values). One pass over the
+    grid builds each point's line of all three tables once, each number
+    formatted once as its repr: the companions repeat the main line's cells.
     Returns the main table's rows as numbers.
     """
     if not cfg.eta_list or not cfg.sweep_grid:
         raise ConfigError("sweep requires sweep.eta_list and sweep.power_grid")
     alpha = cfg.source.alpha
     alpha_text = repr(float(alpha))
-    powers = [(power, cfg.calibration.pairs_per_power * power) for power in sorted(cfg.sweep_grid)]
-    power_texts = [(repr(float(power)), repr(float(mu))) for power, mu in powers]
-    rows, cells = [], []
-    for eta in sorted(cfg.eta_list):
-        eta_text = repr(float(eta))
-        for (power, mu), (power_text, mu_text) in zip(powers, power_texts):
+    references = ",".join(map(repr, FIDELITY_REFERENCES.values()))
+    powers = [(float(p), float(cfg.calibration.pairs_per_power * p))
+              for p in sorted(cfg.sweep_grid)]
+    powers = [(power, mu, repr(power), repr(mu)) for power, mu in powers]
+    fig2_lines = []
+    for g in [i * 0.005 for i in range(201)]:
+        m = werner_metrics(g)
+        fig2_lines.append(f"curve,{g!r},{m.linear_entropy!r},{m.tangle!r}")
+    rows, lines, fig1b_lines = [], [], []
+    for eta in sorted(map(float, cfg.eta_list)):
+        eta_text = repr(eta)
+        for power, mu, power_text, mu_text in powers:
             rates = rates_primed(SourceParams(mu, alpha, eta))
             g = effective_g(rates)
             m = werner_metrics(g)
             # rates_primed, effective_g and werner_metrics return Python floats
-            computed = [rates.r_hh, rates.r_hv, rates.r_hr,
-                        g, m.tangle, m.linear_entropy, m.fidelity]
-            rows.append([float(power), float(mu), float(eta), alpha, *computed])
-            cells.append([power_text, mu_text, eta_text, alpha_text, *map(repr, computed)])
+            rows.append([power, mu, eta, alpha, rates.r_hh, rates.r_hv, rates.r_hr,
+                         g, m.tangle, m.linear_entropy, m.fidelity])
+            g_text, tangle_text, entropy_text, fidelity_text = map(
+                repr, (g, m.tangle, m.linear_entropy, m.fidelity))
+            lines.append(f"{power_text},{mu_text},{eta_text},{alpha_text},{rates.r_hh!r},"
+                         f"{rates.r_hv!r},{rates.r_hr!r},{g_text},{tangle_text},"
+                         f"{entropy_text},{fidelity_text}")
+            fig2_lines.append(f"model,{g_text},{entropy_text},{tangle_text}")
+            fig1b_lines.append(f"{power_text},{eta_text},{fidelity_text},{references}")
     out_path = Path(out_path)
     meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
-    write_table(out_path, SWEEP_HEADER, cells, meta)
-
-    fig2_rows = []
-    for g in [i * 0.005 for i in range(201)]:
-        m = werner_metrics(g)
-        fig2_rows.append(["curve", repr(g), repr(m.linear_entropy), repr(m.tangle)])
-    fig2_rows += [["model", c[7], c[9], c[8]] for c in cells]
+    write_table(out_path, SWEEP_HEADER, lines, meta)
     fig2_path = out_path.with_name(out_path.stem + "_fig2" + out_path.suffix)
-    write_table(fig2_path, ["kind", "g", "linear_entropy", "tangle"], fig2_rows, meta)
-
-    references = [repr(v) for v in FIDELITY_REFERENCES.values()]
-    fig1b_rows = [[c[0], c[2], c[10], *references] for c in cells]
+    write_table(fig2_path, ["kind", "g", "linear_entropy", "tangle"], fig2_lines, meta)
     fig1b_path = out_path.with_name(out_path.stem + "_fig1b" + out_path.suffix)
-    write_table(
-        fig1b_path,
-        ["power", "eta", "fidelity"] + list(FIDELITY_REFERENCES),
-        fig1b_rows,
-        meta,
-    )
+    write_table(fig1b_path, ["power", "eta", "fidelity", *FIDELITY_REFERENCES], fig1b_lines, meta)
     return rows
 
 

@@ -68,25 +68,50 @@ class TestConfig:
         assert cfg.config_hash == pipeline.load_config(plain).config_hash
 
 
+def summary_line(row):
+    """A data line as run_tomo joins a summary row: every cell through str."""
+    return ",".join(map(str, row))
+
+
+def sweep_line(row):
+    """A data line as run_sweep builds one: every float cell as its repr."""
+    return ",".join(f"{v!r}" for v in row)
+
+
 class TestTables:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         rows = [[0.1, 1 / 3, 2e-7], [5.0, 0.9999999999, 1e300]]
-        pipeline.write_table(path, ["a", "b", "c"], rows, {"seed": 0})
+        lines = [summary_line(rows[0]), sweep_line(rows[1])]
+        pipeline.write_table(path, ["a", "b", "c"], lines, {"seed": 0, "files": 2})
+        # the lines are written as they come, after the provenance and the header
+        assert path.read_text(encoding="utf-8") == (
+            "# seed=0\n# files=2\na,b,c\n0.1,0.3333333333333333,2e-07\n5.0,0.9999999999,1e+300\n"
+        )
         header, back = read_table(path)
         assert header == ["a", "b", "c"]
         for row, raw in zip(rows, back):
             for v, s in zip(row, raw):
                 assert float(s) == v  # repr round-trips exactly
+        pipeline.write_table(path, ["a"], [], {})
+        assert path.read_text(encoding="utf-8") == "a\n"
 
     @given(st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3), max_size=5))
     def test_floats_round_trip_bit_exact(self, tmp_path_factory, rows):
-        path = tmp_path_factory.mktemp("table") / "t.csv"
-        pipeline.write_table(path, ["a", "b", "c"], rows, {"seed": 0})
-        _, back = read_table(path)
-        got = np.array([float(s) for row in back for s in row])
+        # both ways the writers turn a float into a cell: str in a summary row
+        # (after its text label) and repr in a sweep line
+        directory = tmp_path_factory.mktemp("table")
         want = np.array([v for row in rows for v in row], dtype=float)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        tables = {
+            "summary": (["label", "a", "b", "c"], [summary_line(["x", *row]) for row in rows]),
+            "sweep": (["a", "b", "c"], [sweep_line(row) for row in rows]),
+        }
+        for name, (header, lines) in tables.items():
+            path = directory / f"{name}.csv"
+            pipeline.write_table(path, header, lines, {"seed": 0})
+            _, back = read_table(path)
+            got = np.array([float(s) for row in back for s in row[-3:]])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSimulate:
@@ -538,6 +563,50 @@ class TestSweepTableText:
         assert_sweep_tables_match_per_cell(cfg, directory)
 
 
+def counting(log, fn):
+    """fn, with each call's arguments appended to log first."""
+    def wrapper(*args, **kwargs):
+        log.append((args, kwargs))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestTracedBindings:
+    """The benchmark's tracer rebinds pipeline.rates_primed and pipeline.write_table
+    and reads .alpha and .eta from the argument of rates_primed: the pipeline calls
+    both through its module globals, once per grid point and once per table."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"rates_primed": [], "write_table": []}
+        for name, log in calls.items():
+            monkeypatch.setattr(pipeline, name, counting(log, getattr(pipeline, name)))
+        return calls
+
+    def test_sweep(self, tmp_path, calls):
+        etas, powers = ["0.001", "0.2", "1"], ["1", "5", "50", "200"]
+        cfg = grid_config(tmp_path / "run.cfg", etas, powers)
+        pipeline.run_sweep(cfg, tmp_path / "sweep.csv")
+        assert len(calls["rates_primed"]) == 12
+        # the tracer's key: the first positional argument, else the keyword p
+        params = [args[0] if args else kwargs["p"] for args, kwargs in calls["rates_primed"]]
+        assert sorted((p.alpha, p.eta) for p in params) == sorted(
+            (0.005, float(eta)) for eta in etas for _ in powers
+        )
+        assert [args[0].name for args, _ in calls["write_table"]] == [
+            "sweep.csv", "sweep_fig2.csv", "sweep_fig1b.csv"
+        ]
+
+    def test_tomo(self, tmp_path, calls):
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in files:
+            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        pipeline.run_tomo(files, tmp_path / "out")
+        assert [args[0].name for args, _ in calls["write_table"]] == ["summary.csv"]
+        assert calls["rates_primed"] == []
+
+
 class TestMetricsCommand:
     def test_ideal(self, tmp_path):
         path = tmp_path / "ideal.txt"
@@ -802,6 +871,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, args, extra, message",
+        [
+            ("sweep", ["--seed", "-3"], "", "parse error: seed=-3 must be >= 0"),
+            ("simulate", ["--scale", "0"], "",
+             "parse error: simulate.scale=0.0 must be positive and finite"),
+            ("sweep", [], "simulate.scale=nan\n",
+             "parse error: simulate.scale=nan must be positive and finite"),
+        ],
+        ids=["seed-negative", "scale-zero", "scale-nan-in-config"],
+    )
+    def test_bad_value_names_only_its_key(self, tmp_path, capsys, command, args, extra, message):
+        cfg_path = write_config(
+            tmp_path / "run.cfg",
+            "simulate.power_grid=10\nsweep.eta_list=0.03\nsweep.power_grid=10\n" + extra,
+        )
+        out = tmp_path / ("counts" if command == "simulate" else "s.csv")
+        argv = [command, "--config", str(cfg_path), "--out", str(out), *args]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == message + "\n"
 
     # a scale of 0.5 would draw no HH, HV, VH or VV count at power 10
     @pytest.mark.parametrize("flag, value", [("--eta", "0.5"), ("--scale", "1e4")],
