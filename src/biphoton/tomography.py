@@ -126,8 +126,9 @@ _BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]
           ).reshape(16, 4, 4)[1:] / 2
 _DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
 _MAX_STEPS = 500  # Newton-step budget of one fit
-# The fit stops once f or 4 mu is at most max(tau, _REL_TOL * f), with
-# tau = max(_REL_TOL * min(1, 1 / N), _ROUND_TOL).
+# The barrier fit stops once 4 mu is at most max(tau, _REL_TOL * f), with
+# tau = max(_REL_TOL * min(1, 1 / N), _ROUND_TOL); the floor (1.3e-29) decides
+# for N above about 1e19, so mu is not cut toward 1e-10 / N, far below the rounding of f.
 _REL_TOL = 1e-10
 _ROUND_TOL = 256 * np.finfo(float).eps ** 2
 _MIXED = np.eye(4) / 4
@@ -149,7 +150,7 @@ def _likelihood(x, r):
 
 
 def _objective(x, r):
-    """f alone, for the certified start, the line search's accept test and _likelihood."""
+    """f alone, for the line search's accept test and _likelihood."""
     p = 0.25 + _DESIGN @ x
     return float(((p - r) ** 2 / (2 * np.where(p > 1e-9, p, 1e-9))).sum())
 
@@ -173,38 +174,34 @@ def mle_reconstruct(cv):
     r = n / N, N being its total_scale.
 
     Per unit N, f = sum_nu (p_nu - r_nu)^2 / 2 max(p_nu, 1e-9) is non-negative
-    (p_nu being the Born probabilities), so f itself bounds f - f*. The linear
+    (p_nu being the Born probabilities) and 0 exactly at p = r. The linear
     estimate fits all 16 frequencies (16 settings for 15 parameters and the
-    normalization), so a positive-definite one is returned after one pass,
-    certified by f <= tau = max(1e-10 min(1, 1 / N), 256 eps^2). The floor
-    256 eps^2 (1.3e-29; it decides for N above about 1e19) lies above the
-    rounding level of f at a start that fits every frequency, about 24 eps^2,
-    so the start is certified in any count unit. Otherwise a log-det barrier
-    method (Boyd & Vandenberghe, Convex Optimization (2004), ch. 11) takes
-    damped Newton steps on F = f - mu log det rho, so rho stays positive
-    definite, and ends once 4 mu, a bound on f - f* at a centered iterate (f
-    is convex in rho but for a kink at the variance floor), is at most
-    max(tau, 1e-10 f): for 1 <= N <= 1e19, the rule on the counts' N f divided by N.
-    Returns (rho, steps), steps being the Newton steps taken (1 for a
-    certified start). Raises ConvergenceError with the last state and its
-    gap per unit N if the Newton-step budget runs out, and ValidationError if
-    the fit overflows float arithmetic (a count out of proportion to N).
+    normalization), so f = 0 there: a linear estimate with lambda_min >= 1e-9 is
+    the optimum, returned as it is after one pass, in any count unit. Otherwise
+    a log-det barrier method (Boyd & Vandenberghe, Convex Optimization (2004),
+    ch. 11) takes damped Newton steps on F = f - mu log det rho from the linear
+    estimate shrunk toward I/4, so rho stays positive definite, and ends once
+    4 mu, a bound on f - f* at a centered iterate (f is convex in rho but for a
+    kink at the variance floor), is at most max(tau, 1e-10 f), with
+    tau = max(1e-10 min(1, 1 / N), 256 eps^2): for 1 <= N <= 1e19, the rule on
+    the counts' N f divided by N.
+    Returns (rho, steps), steps being the Newton steps taken (1 for the linear
+    estimate). Raises ConvergenceError with the last state and its gap per unit N
+    if the Newton-step budget runs out, and ValidationError if the fit overflows
+    float arithmetic (a count out of proportion to N).
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # A singular linear estimate (a rank-deficient one has round-off eigenvalues
-            # near +-1e-17, with no digits in log det) is shrunk toward I/4 to lambda_min 1e-3.
             rho = linear_reconstruct(cv)
             low = np.linalg.eigvalsh(rho)[0]
-            if low < 1e-9:
-                rho += (1e-3 - low) / (0.25 - low) * (_MIXED - rho)
+            if low >= 1e-9:  # f = 0 at p = r: the optimum
+                return rho, 1
+            # A singular linear estimate (a rank-deficient one has round-off eigenvalues
+            # near +-1e-17, with no digits in log det) is shrunk toward I/4 to lambda_min 1e-3.
+            rho += (1e-3 - low) / (0.25 - low) * (_MIXED - rho)
             x = np.einsum("kij,ji->k", _BASIS, rho).real
-            r = cv.counts / cv.total_scale
             tol = max(_REL_TOL / max(1.0, cv.total_scale), _ROUND_TOL)
-            # f - f* <= f <= tol: the loop's stop, met at the start
-            if _objective(x, r) <= tol:
-                return _rho(x), 1
-            return _barrier_fit(x, r, tol)
+            return _barrier_fit(x, cv.counts / cv.total_scale, tol)
     except FloatingPointError as exc:
         raise ValidationError(f"counts out of proportion to their HH+HV+VH+VV sum ({exc})") from exc
 

@@ -253,14 +253,21 @@ class TestMleReconstruct:
         assert medians[0] > medians[1] > medians[2]
 
 
+# Interior Poisson counts of werner(0.002) (lambda_min of the linear estimate 2.3e-4)
+REPRODUCER = tomography.simulate_counts(states.werner(0.002), 1e7, seed=3)
+
+
 class TestCertifiedStart:
     """The early return against the barrier loop, which stays the oracle."""
 
     def test_barrier_loop_keeps_the_linear_start(self, tmp_path):
         # interior count files as read_counts gives them: the linear estimate fits
-        # every count, and the loop started there ends where the early return does
-        for i, g in enumerate([0.1, 0.3, 0.5, 0.7, 0.9]):
-            cv = tomography.simulate_counts(states.werner(g), 1e5, seed=i)
+        # every count, and the loop started there ends where the early return does,
+        # also in a count unit where f at the start rounds above the loop's stop
+        vectors = [tomography.simulate_counts(states.werner(g), 1e5, seed=i)
+                   for i, g in enumerate([0.1, 0.3, 0.5, 0.7, 0.9])]
+        vectors.append(tomography.CountVector(REPRODUCER.counts * 1e20))
+        for i, cv in enumerate(vectors):
             path = tmp_path / f"counts_{i}.txt"
             tomography.write_counts(cv, path)
             cv = tomography.read_counts(path)
@@ -268,14 +275,23 @@ class TestCertifiedStart:
             assert np.linalg.eigvalsh(linear)[0] >= 1e-9
             rho, steps = tomography.mle_reconstruct(cv)
             assert steps == 1
-            tol = tomography._REL_TOL / max(1.0, cv.total_scale)
+            tol = max(tomography._REL_TOL / max(1.0, cv.total_scale), tomography._ROUND_TOL)
             rho_loop, _ = tomography._barrier_fit(coordinates(linear), frequencies(cv), tol)
             assert np.max(np.abs(rho_loop - rho)) <= 1e-12
 
+    @pytest.mark.parametrize("factor", [1.0, 1e20, 1e100, 1e300])
+    def test_positive_definite_start_is_returned_as_it_is(self, factor):
+        # f at this start rounds above tau in the large units, where a test of f
+        # ran the barrier loop for 11 Newton steps; positivity alone decides
+        cv = tomography.CountVector(REPRODUCER.counts * factor)
+        rho, steps = tomography.mle_reconstruct(cv)
+        assert steps == 1
+        assert np.array_equal(rho, tomography.linear_reconstruct(cv))
+
     @pytest.mark.parametrize("factor", [1e20, 1e100, 1e300])
     def test_certified_in_any_count_unit(self, factor):
-        # at N above about 1e20, 1e-10 / N falls below the rounding level of f at
-        # a start that fits every frequency; the floor of tau keeps the start certified
+        # the start is decided by the linear estimate's lambda_min, which the
+        # count unit moves only in its last digits
         for i, g in enumerate([0.3, 0.5, 0.7, 0.9, 1.0]):
             for scale in (1e3, 1e4, 1e5, 1e6):
                 cv = tomography.simulate_counts(states.werner(g), scale, seed=i)

@@ -132,11 +132,14 @@ def simulated_counts(g, scale, seed):
     st.builds(werner_counts, st.floats(0.0, 1.0), st.floats(1e2, 1e6)),
     st.builds(simulated_counts, st.floats(0.0, 1.0), st.floats(1e2, 1e6),
               st.integers(min_value=0, max_value=2**32 - 1)),
-))
-def test_one_step_exactly_when_linear_estimate_is_interior(counts):
+), st.integers(min_value=-300, max_value=300))
+def test_one_step_exactly_when_linear_estimate_is_interior(counts, k):
     # with the computational-basis sum as scale the linear estimate fits every
     # count, so the fit returns it after one pass if and only if it is kept as
-    # the start, that is, unless lambda_min < 1e-9 has it shrunk toward I/4
+    # the start, that is, unless lambda_min < 1e-9 has it shrunk toward I/4;
+    # in any count unit 10^k
+    counts = counts * 10.0**k
+    assume(np.isfinite(counts).all())
     cv = tomography.CountVector(counts)
     assume(cv.total_scale > 0)
     _, steps = tomography.mle_reconstruct(cv)
