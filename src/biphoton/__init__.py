@@ -11,14 +11,14 @@ __version__ = "0.1.0"
 
 # Each public name under the submodule that defines it.
 _PUBLIC = {
-    "multipair": ("PowerCalibration", "RateTriple", "SourceParams", "StateMetrics",
-                  "background_g", "effective_g", "g_vs_power_curve", "rates_primed",
-                  "werner_metrics"),
+    "multipair": ("CANONICAL_LABELS", "PowerCalibration", "RateTriple", "SourceParams",
+                  "StateMetrics", "background_g", "effective_g", "g_vs_power_curve",
+                  "rates_primed", "werner_metrics"),
     "states": ("BASIS_LABELS", "bell_state", "compute_metrics", "concurrence", "fidelity",
                "format_density_matrix", "ideal_bell", "linear_entropy", "parse_density_matrix",
                "purity", "tangle", "totally_mixed", "validate", "werner", "werner_fit"),
-    "tomography": ("CANONICAL_LABELS", "CountVector", "expected_probabilities",
-                   "linear_reconstruct", "mle_reconstruct", "simulate_counts"),
+    "tomography": ("CountVector", "expected_probabilities", "linear_reconstruct",
+                   "mle_reconstruct", "simulate_counts"),
 }
 # The submodules that are public names themselves; the table's are reached as attributes.
 _MODULES = ("errors", "pipeline")

@@ -50,6 +50,14 @@ Poisson-weighted series and the Monte Carlo simulation. Note the single-bracket 
 sums: collapsing it to alpha**j would contradict the small-mu asymptote
 alpha^2 (mu/4 + mu^2/4) and the Monte Carlo model.
 
+The 16 tomography settings take their rates from the same three classes.
+Each pair is Phi+, invariant under U (x) U*, so for one pair the joint
+pass/fail law of a setting (a, b) depends only on |<a|b*>|**2, which is 1
+(class HH: HH, VV, DD, RL), 0 (class HV: HV, VH) or 1/2 (class HR: the other
+ten); a lone photon passes any analyzer with probability 1/2. Pairs are
+independent, so every setting has its class's rate, and
+setting_probabilities gives the 16 as plain floats.
+
 The scalar state summary, StateMetrics, and its closed form for Werner
 states, werner_metrics, live here too, so the sweep runs on floats alone;
 states re-exports both.
@@ -130,6 +138,36 @@ def effective_g(rates):
     if denom <= 0:
         raise DegenerateInputError("zero coincidence rates: g is undefined")
     return float(min(1.0, max(0.0, 2 * rates.r_hv / denom)))
+
+
+# Standard two-photon tomography settings, in fixed order.
+CANONICAL_LABELS = (
+    "HH", "HV", "VV", "VH",
+    "RH", "RV", "DV", "DH",
+    "DR", "DD", "RD", "HD",
+    "VD", "VL", "HL", "RL",
+)
+
+# The projection class of each canonical setting, in CANONICAL_LABELS order.
+SETTING_CLASSES = (
+    "HH", "HV", "HH", "HV",
+    "HR", "HR", "HR", "HR",
+    "HR", "HH", "HR", "HR",
+    "HR", "HR", "HR", "HH",
+)
+
+
+def setting_probabilities(rates):
+    """The probability of each canonical setting per unit HH+HV+VH+VV rate, in
+    CANONICAL_LABELS order: p = R_class / (2 (R_HH + R_HV)), by the source
+    symmetry R_VV = R_HH, R_VH = R_HV. The HH and HV entries are those of the
+    Werner state at effective_g(rates); the ten HR entries tend to the Werner
+    value 1/4 as mu -> 0 and leave it with multi-pair emission."""
+    denom = 2 * (rates.r_hh + rates.r_hv)
+    if denom <= 0:
+        raise DegenerateInputError("zero coincidence rates: setting probabilities are undefined")
+    by_class = {"HH": rates.r_hh / denom, "HV": rates.r_hv / denom, "HR": rates.r_hr / denom}
+    return [by_class[c] for c in SETTING_CLASSES]
 
 
 @dataclass(frozen=True)

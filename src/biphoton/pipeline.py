@@ -8,14 +8,15 @@ All emitted tables are comma-delimited with '#' provenance comments: the
 sweep tables carry the package version, seed and config hash; the tomo
 summary carries the package version and its file and error counts.
 
-Only tomo, simulate and metrics need numpy: their functions import states
-and tomography when they run, so a sweep never loads it.
+Only tomo and metrics need numpy: their functions import states and
+tomography when they run, so a sweep or a simulate run never loads it.
 """
 
 import hashlib
 import json
 import math
 import os
+import random
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -23,14 +24,22 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .errors import BiphotonError, ConfigError, DegenerateInputError, ParseError, read_text
+from .errors import (
+    BiphotonError,
+    ConfigError,
+    DegenerateInputError,
+    ParseError,
+    ValidationError,
+    read_text,
+)
 from .multipair import (
+    CANONICAL_LABELS,
     PowerCalibration,
     SourceParams,
     StateMetrics,
     effective_g,
-    g_vs_power_curve,
     rates_primed,
+    setting_probabilities,
     werner_metrics,
 )
 
@@ -164,7 +173,7 @@ def analyze_counts(cv, label):
     from . import states, tomography
 
     # RH is the linear-circular consistency setting: 0.25 for Werner states
-    rh = tomography.CANONICAL_LABELS.index("RH")
+    rh = CANONICAL_LABELS.index("RH")
     rho, steps = tomography.mle_reconstruct(cv)
     metrics = states.compute_metrics(rho)
     return AnalysisRecord(
@@ -266,27 +275,85 @@ def run_tomo(files, out_dir):
     return records, errors
 
 
-def run_simulate(cfg, out_dir):
-    """Synthesize one count file per power-grid point. Deterministic in
-    (config, seed): identical inputs give byte-identical files. A point with no
-    HH, HV, VH or VV count, unusable by tomo, raises DegenerateInputError unwritten."""
-    from . import states, tomography
+def write_counts(counts, path, comments=("label,count",)):
+    """Write a count file: one '# ' line per comment, then the 16 counts as
+    rows in canonical order with exact (repr) values."""
+    lines = [f"# {c}" for c in comments]
+    lines += [f"{lab},{float(n)!r}" for lab, n in zip(CANONICAL_LABELS, counts, strict=True)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
+
+# numpy's largest Poisson mean, 2**63 - 1 - 10 sqrt(2**63 - 1): its draw fits a C long
+_POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
+
+def _poisson(rng, lam):
+    """One Poisson count of mean lam from the random.Random rng, as an int.
+
+    Below 10, the multiplication method: the number of uniforms whose running
+    product stays above exp(-lam). From 10 on, the transformed rejection method
+    with squeeze PTRS (Hormann, Insurance: Math. Econ. 12, 39 (1993)), numpy's
+    method there too. v is drawn from (0, 1], and the region us < 0.013, v > us,
+    which numpy rejects after forming k, is rejected before, so log(v) and
+    2a/us stay finite and every (u, v) is decided as numpy decides it. The
+    acceptance exponent -lam + k log(lam) - log(k!) is a difference of terms
+    near lam log(lam), so for lam >> 1e9 rounding (about eps lam log(lam))
+    swamps it, as it does in numpy; the squeeze us >= 0.07, v <= vr, which
+    decides most draws, does not use it. A mean above numpy's bound is a
+    ValidationError.
+    """
+    if not lam <= _POISSON_MEAN_MAX:
+        raise ValidationError(f"cannot sample a Poisson count of mean {lam!r}: "
+                              f"the largest mean sampled is {_POISSON_MEAN_MAX!r}")
+    if lam < 10:
+        limit, k, prod = math.exp(-lam), 0, rng.random()
+        while prod > limit:
+            k += 1
+            prod *= rng.random()
+        return k
+    slam, loglam = math.sqrt(lam), math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    log_invalpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2)
+    while True:
+        u = rng.random() - 0.5
+        v = 1.0 - rng.random()
+        us = 0.5 - abs(u)
+        if us < 0.013 and v > us:
+            continue
+        k = math.floor((2 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= vr:
+            return k
+        if k >= 0 and (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
+                       <= -lam + k * loglam - math.lgamma(k + 1)):
+            return k
+
+
+def run_simulate(cfg, out_dir):
+    """Synthesize one count file per power-grid point, drawing each setting's
+    count from the Poisson law of mean scale * p, p being the detector model's
+    setting_probabilities at that power. Deterministic in (config, seed):
+    identical inputs give byte-identical files. A point with no HH, HV, VH or VV
+    count, unusable by tomo, raises DegenerateInputError unwritten."""
     if not cfg.simulate_grid:
         raise ConfigError("simulate requires simulate.power_grid")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    curve = g_vs_power_curve(cfg.calibration, cfg.source, cfg.simulate_grid)
-    for i, (power, g) in enumerate(curve):
+    for i, power in enumerate(cfg.simulate_grid):
         mu = cfg.calibration.pairs_per_power * power
-        cv = tomography.simulate_counts(states.werner(g), cfg.scale, seed=[cfg.seed, i])
-        if cv.total_scale == 0:
+        probs = setting_probabilities(rates_primed(SourceParams(mu, cfg.source.alpha,
+                                                                cfg.source.eta)))
+        rng = random.Random(f"{cfg.seed},{i}")
+        counts = [_poisson(rng, cfg.scale * p) for p in probs]
+        if not any(counts[:4]):
             raise DegenerateInputError(f"simulate.scale={cfg.scale!r} gives zero HH, HV, VH and "
                                        f"VV counts at power={power!r}")
         path = out_dir / f"counts_{i:03d}.txt"
-        tomography.write_counts(
-            cv,
+        write_counts(
+            counts,
             path,
             comments=(
                 f"synthetic counts, power={power!r} {cfg.calibration.power_unit}, mu={mu!r}",

@@ -17,6 +17,7 @@ from .errors import (
     ValidationError,
     read_text,
 )
+from .multipair import CANONICAL_LABELS
 
 _INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -28,15 +29,6 @@ ANALYZER_STATES = {
     "R": np.array([1, -1j], dtype=complex) * _INV_SQRT2,
     "L": np.array([1, 1j], dtype=complex) * _INV_SQRT2,
 }
-
-# Standard two-photon tomography settings, in fixed order.
-CANONICAL_LABELS = (
-    "HH", "HV", "VV", "VH",
-    "RH", "RV", "DV", "DH",
-    "DR", "DD", "RD", "HD",
-    "VD", "VL", "HL", "RL",
-)
-
 
 # Rank-1 projectors |ab><ab| for the canonical settings, shape (16, 4, 4). The kets
 # |a> (x) |b> and their outer products are broadcast products: the bytes np.kron and
@@ -87,10 +79,13 @@ class CountVector:
 
 
 def simulate_counts(rho, scale, seed):
-    """Poisson-sample coincidence counts for every setting, scale being the
-    expected count of a unit-probability setting.
+    """Poisson-sample coincidence counts for every setting of an arbitrary
+    state rho through numpy's generator, scale being the expected count of a
+    unit-probability setting.
 
-    Deterministic in (rho, scale, seed).
+    Deterministic in (rho, scale, seed). biphoton simulate does not call it: it
+    draws from the detector model's setting probabilities with the stdlib
+    sampler of pipeline, so it runs without numpy.
     """
     if not 0 < scale < np.inf:
         raise ValidationError("scale must be positive and finite")
@@ -239,18 +234,10 @@ def _barrier_fit(x, r, tol):
                            best_state=_rho(x), gap=_gap(x, grad))
 
 
-# --- count file I/O -------------------------------------------------------------
+# --- count file reading ---------------------------------------------------------
 # Plain text, exactly 16 "label,count" rows, '#' comments; labels may appear
-# in any order and are matched against the canonical set.
-
-
-def write_counts(cv, path, comments=("label,count",)):
-    """Write a count file: one '# ' line per comment, then the 16 rows in
-    canonical order with exact (repr) values."""
-    lines = [f"# {c}" for c in comments]
-    lines += [f"{lab},{float(n)!r}" for lab, n in zip(CANONICAL_LABELS, cv.counts)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# in any order and are matched against the canonical set. pipeline.write_counts
+# writes them.
 
 
 _LABEL_INDEX = {lab: i for i, lab in enumerate(CANONICAL_LABELS)}

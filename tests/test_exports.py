@@ -1,7 +1,7 @@
 """Where the package's public names come from: each is the object of the
 submodule that defines it, and the package source names each once. The
 package loads each submodule on first use, and the modules that a sweep
-runs import no numpy."""
+or a simulate run loads import no numpy."""
 
 import ast
 import importlib
@@ -20,7 +20,7 @@ import biphoton
 from biphoton import pipeline
 
 # the public constants, which carry no __module__ of their own
-CONSTANT_HOMES = {"BASIS_LABELS": "biphoton.states", "CANONICAL_LABELS": "biphoton.tomography"}
+CONSTANT_HOMES = {"BASIS_LABELS": "biphoton.states", "CANONICAL_LABELS": "biphoton.multipair"}
 
 
 @pytest.mark.parametrize("name", biphoton.__all__)
@@ -43,7 +43,8 @@ def test_each_name_is_declared_once():
     assert {name: words[name] for name in biphoton.__all__} == dict.fromkeys(biphoton.__all__, 1)
 
 
-# The modules that `biphoton sweep` loads; "__init__" is the package itself.
+# The modules that `biphoton sweep` and `biphoton simulate` load; "__init__" is the
+# package itself.
 NUMPY_FREE = ("__init__", "cli", "errors", "multipair", "pipeline")
 
 README_CONFIG = """seed=0
@@ -110,6 +111,18 @@ def test_import_and_sweep_load_no_numpy(tmp_path):
         tmp_path,
     )
     assert out.splitlines() == ["['biphoton']", "wrote 24 sweep rows to sweep.csv", "0", "False"]
+
+
+def test_simulate_loads_no_numpy(tmp_path):
+    (tmp_path / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
+    out = run_python(
+        "import sys\n"
+        "from biphoton import cli\n"
+        "print(cli.main(['simulate', '--config', 'run.cfg', '--out', 'counts']))\n"
+        "print('numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert out.splitlines() == [*(f"counts/counts_{i:03d}.txt" for i in range(4)), "0", "False"]
 
 
 def test_every_name_resolves_in_a_fresh_interpreter(tmp_path):

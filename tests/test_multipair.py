@@ -377,3 +377,75 @@ class TestPowerCurveAndBackground:
         assert mp.background_g(1.3, 0.4, 1.0) == mp.background_g(1.3, 0.4, 100.0)
         with pytest.raises(DegenerateInputError):
             mp.background_g(0.0, 0.0, 1.0)
+
+
+# --- the 16 settings from independent Phi+ pairs ------------------------------
+
+_OVERLAP_CLASSES = {1.0: "HH", 0.0: "HV", 0.5: "HR"}
+
+
+def one_pair_pass_law(a, b):
+    """{(photon 1 passes, photon 2 passes): probability} for one Phi+ pair in
+    front of the analyzers a (arm 1) and b (arm 2), from the projectors."""
+    one = np.eye(2)
+    first, second = np.outer(a, a.conj()), np.outer(b, b.conj())
+    return {
+        (pass1, pass2): float(np.trace(states.ideal_bell() @ np.kron(
+            first if pass1 else one - first, second if pass2 else one - second)).real)
+        for pass1, pass2 in itertools.product((True, False), repeat=2)
+    }
+
+
+def coincidence_probability(n, a, b, alpha):
+    """P(both threshold detectors fire) for n independent Phi+ pairs, eta = 1:
+    summed over every pair's pass pattern, each passed photon detected with
+    probability alpha."""
+    law = one_pair_pass_law(a, b)
+    total = 0.0
+    for patterns in itertools.product(law, repeat=n):
+        passed1, passed2 = sum(p[0] for p in patterns), sum(p[1] for p in patterns)
+        total += (math.prod(law[p] for p in patterns)
+                  * (1 - (1 - alpha) ** passed1) * (1 - (1 - alpha) ** passed2))
+    return total
+
+
+class TestSettingProbabilities:
+    def test_classes_follow_from_the_analyzer_overlaps(self):
+        derived = []
+        for label in mp.CANONICAL_LABELS:
+            a, b = (tomography.ANALYZER_STATES[c] for c in label)
+            overlap = abs(np.vdot(a, b.conj())) ** 2
+            (cls,) = [c for o, c in _OVERLAP_CLASSES.items() if abs(overlap - o) < 1e-12]
+            derived.append(cls)
+        assert tuple(derived) == mp.SETTING_CLASSES
+        assert tomography.CANONICAL_LABELS is mp.CANONICAL_LABELS
+
+    @pytest.mark.parametrize("alpha, mu", [(0.005, 1e-3), (0.3, 0.01), (1.0, 0.05)])
+    def test_rates_of_up_to_three_pairs(self, alpha, mu):
+        # the Poisson-weighted sum over n <= 3 pairs lies below the model's rate by
+        # at most P(n >= 4), each coincidence probability being at most 1
+        rates = mp.rates_primed(SourceParams(mu=mu, alpha=alpha, eta=1.0))
+        norm = 2 * (rates.r_hh + rates.r_hv)
+        tail = 1 - sum(mo.poisson_pmf(n, mu) for n in range(4))
+        for label, p in zip(mp.CANONICAL_LABELS, mp.setting_probabilities(rates)):
+            a, b = (tomography.ANALYZER_STATES[c] for c in label)
+            truncated = sum(mo.poisson_pmf(n, mu) * coincidence_probability(n, a, b, alpha)
+                            for n in range(4))
+            assert -1e-14 * truncated <= p * norm - truncated <= tail + 1e-14 * truncated, label
+
+    @pytest.mark.parametrize("mu, alpha, eta", [(1e-6, 0.005, 1.0), (0.01, 0.005, 1.0),
+                                                (1.0, 0.005, 0.03), (10.0, 0.5, 0.2),
+                                                (3.0, 1.0, 1.0)])
+    def test_linear_entries_are_the_werner_states(self, mu, alpha, eta):
+        rates = mp.rates_primed(SourceParams(mu=mu, alpha=alpha, eta=eta))
+        probs = mp.setting_probabilities(rates)
+        werner = tomography.expected_probabilities(states.werner(mp.effective_g(rates)))
+        for cls, p, w in zip(mp.SETTING_CLASSES, probs, werner):
+            if cls != "HR":
+                assert abs(p - w) <= 1e-15
+        assert sum(probs[:4]) == pytest.approx(1.0, abs=1e-15)
+        assert all(type(p) is float for p in probs)
+
+    def test_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            mp.setting_probabilities(mp.RateTriple(0.0, 0.0, 0.0))

@@ -19,7 +19,13 @@ from biphoton.errors import (
     ParseError,
     ValidationError,
 )
-from biphoton.multipair import SourceParams, effective_g, rates_primed
+from biphoton.multipair import (
+    SETTING_CLASSES,
+    SourceParams,
+    effective_g,
+    rates_primed,
+    setting_probabilities,
+)
 from pipeline_oracles import read_table, sweep_tables_per_cell, tomo_texts_per_entry
 from test_tomography import BOUNDARY_FILES
 
@@ -146,13 +152,28 @@ class TestSimulate:
             assert path.read_text() == expected
 
     def test_counts_too_few_to_reconstruct(self, tmp_path):
-        # at scale 0.5 the power-1 point draws no HH, HV, VH or VV count, a
-        # file tomo would reject; simulate fails before writing it
+        # the HH, HV, VH and VV means sum to the scale, so at scale 1e-10 each
+        # power draws none of those counts with probability exp(-1e-10), whatever
+        # the seed: a file tomo would reject, which simulate fails before writing
         cfg = pipeline.load_config(write_config(
-            tmp_path / "run.cfg", "simulate.scale=0.5\nsimulate.power_grid=1,10\n"))
+            tmp_path / "run.cfg", "simulate.scale=1e-10\nsimulate.power_grid=1,10\n"))
         with pytest.raises(DegenerateInputError, match=r"power=1\.0"):
             pipeline.run_simulate(cfg, tmp_path / "out")
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_counts_follow_the_detector_model(self, tmp_path):
+        # at alpha = 1, mu = 1 the model's HR settings have probability 0.2365, not
+        # the Werner state's 1/4: about 28 sd apart at scale 1e6
+        cfg = pipeline.load_config(write_config(
+            tmp_path / "run.cfg", "source.alpha=1.0\nsimulate.power_grid=100\n"))
+        (path,) = pipeline.run_simulate(cfg, tmp_path / "out")
+        counts = tomography.read_counts(path).counts
+        rates = rates_primed(SourceParams(1.0, 1.0, 1.0))
+        model = 1e6 * np.array(setting_probabilities(rates))
+        werner = 1e6 * tomography.expected_probabilities(states.werner(effective_g(rates)))
+        assert np.all(np.abs(counts - model) <= 6 * np.sqrt(model))
+        hr = [c == "HR" for c in SETTING_CLASSES]
+        assert np.all(np.abs(counts - werner)[hr] > 20 * np.sqrt(werner[hr]))
 
     def test_low_power_near_ideal(self, tmp_path):
         cfg = pipeline.load_config(
@@ -193,7 +214,7 @@ class TestTomoBatch:
     def test_noiseless_ideal_metrics(self, tmp_path):
         probs = tomography.expected_probabilities(states.ideal_bell())
         path = tmp_path / "ideal.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        pipeline.write_counts(probs * 1e6, path)
         records, errors = pipeline.run_tomo([str(path)], tmp_path / "out")
         assert not errors
         m = records[0].metrics
@@ -204,7 +225,7 @@ class TestTomoBatch:
     def test_report_round_trips(self, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        pipeline.write_counts(probs * 1e6, path)
         records, _ = pipeline.run_tomo([str(path)], tmp_path / "out")
         report = (tmp_path / "out" / "w_report.txt").read_text()
         rho = states.parse_density_matrix(report)
@@ -230,7 +251,7 @@ class TestTomoBatch:
             (tmp_path / sub).mkdir()
             probs = tomography.expected_probabilities(states.werner(g))
             files.append(tmp_path / sub / "c.txt")
-            tomography.write_counts(tomography.CountVector(probs * 1e6), files[-1])
+            pipeline.write_counts(probs * 1e6, files[-1])
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert [r.label for r in records] == ["c"]
         assert records[0].metrics.werner_g == pytest.approx(0.3, abs=1e-6)
@@ -246,7 +267,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / "good.txt", tmp_path / os.fsdecode(b"\xffbad.txt")]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert not errors
         assert [r.label for r in records] == ["\\xffbad", "good"]
@@ -264,7 +285,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / f"{stem}.txt" for stem in stems]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert not errors and len(records) == len(stems)
         labels = {r.label for r in records}
@@ -286,7 +307,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / f"{stem}.txt" for stem in stems]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert not errors
         assert sorted(r.label for r in records) == sorted(stems.values())
@@ -301,7 +322,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / f"{stem}.txt" for stem in stems]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert not errors
         assert sorted(r.label for r in records) == sorted(stems.values())
@@ -319,7 +340,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / f"{stem}.txt" for stem in stems]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert not errors
         assert sorted(r.label for r in records) == sorted(stems.values())
@@ -330,7 +351,7 @@ class TestTomoBatch:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / "a.txt", tmp_path / "b.txt"]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
         (tmp_path / "out" / "a_report.txt").mkdir(parents=True)
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         assert [r.label for r in records] == ["b"]
@@ -343,7 +364,7 @@ class TestTomoBatch:
         # the columns follow StateMetrics' fields; a change there shows here
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        pipeline.write_counts(probs * 1e6, path)
         pipeline.run_tomo([str(path)], tmp_path / "out")
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert [line for line in lines if not line.startswith("#")][0] == (
@@ -365,7 +386,7 @@ class TestTomoBatch:
                          ("x1e150", counts * 1e150), ("x1e300", counts * 1e300),
                          ("lopsided", lopsided)):
             files.append(tmp_path / f"{name}.txt")
-            tomography.write_counts(tomography.CountVector(cv), files[-1])
+            pipeline.write_counts(cv, files[-1])
         records, errors = pipeline.run_tomo(files, tmp_path / "out")
         unit, *scaled = records
         assert [r.label for r in records] == ["unit", "x1e100", "x1e150", "x1e300"]
@@ -382,7 +403,7 @@ class TestTomoBatch:
         # tomo reads no config, so its summary names no seed or config hash
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        pipeline.write_counts(probs * 1e6, path)
         pipeline.run_tomo([str(path)], tmp_path / "out")
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         comments = [line for line in lines if line.startswith("#")]
@@ -601,7 +622,7 @@ class TestTracedBindings:
         probs = tomography.expected_probabilities(states.werner(0.3))
         files = [tmp_path / "a.txt", tmp_path / "b.txt"]
         for path in files:
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
         pipeline.run_tomo(files, tmp_path / "out")
         assert [args[0].name for args, _ in calls["write_table"]] == ["summary.csv"]
         assert calls["rates_primed"] == []
@@ -664,7 +685,7 @@ class TestOneValidation:
     def test_run_tomo_summary_reads_it(self, calls, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))
         path = tmp_path / "w.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+        pipeline.write_counts(probs * 1e6, path)
         (record,), _ = pipeline.run_tomo([str(path)], tmp_path / "out")
         assert len(calls) == 1
         header, (row,) = read_table(tmp_path / "out" / "summary.csv")
@@ -756,7 +777,7 @@ class TestTextEncoding:
         probs = tomography.expected_probabilities(states.werner(0.3))
         bad = os.fsdecode(b"\xffbad.txt")
         for name in ("good.txt", bad):
-            tomography.write_counts(tomography.CountVector(probs * 1e6), tmp_path / name)
+            pipeline.write_counts(probs * 1e6, tmp_path / name)
         done = run_cli_strict(["tomo", "good.txt", bad, "--out", "out"], tmp_path)
         assert (done.returncode, done.stderr) == (0, "")
         assert [line.split(":")[0] for line in done.stdout.splitlines()] == ["\\xffbad", "good"]
@@ -810,7 +831,7 @@ class TestCli:
     def test_tomo_nonfinite_count_keeps_batch(self, tmp_path, capsys, value):
         probs = tomography.expected_probabilities(states.werner(0.3))
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
+        pipeline.write_counts(probs * 1e6, good)
         bad.write_text("".join(
             f"{lab},{value if lab == 'RH' else n}\n"
             for lab, n in zip(tomography.CANONICAL_LABELS, probs * 1e6)
@@ -824,7 +845,7 @@ class TestCli:
 
     def test_tomo_zero_counts_exit_validation(self, tmp_path):
         path = tmp_path / "zero.txt"
-        tomography.write_counts(tomography.CountVector(np.zeros(16)), path)
+        pipeline.write_counts(np.zeros(16), path)
         assert cli.main(["tomo", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
 
     def test_tomo_overflowing_sum_keeps_batch(self, tmp_path, capsys):
@@ -832,7 +853,7 @@ class TestCli:
         # with no RuntimeWarning (the suite turns warnings into errors)
         probs = tomography.expected_probabilities(states.werner(0.3))
         good, huge = tmp_path / "good.txt", tmp_path / "huge.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
+        pipeline.write_counts(probs * 1e6, good)
         huge.write_text("".join(
             f"{lab},{1e308 if lab in ('HH', 'VV') else 1.0}\n" for lab in tomography.CANONICAL_LABELS
         ))
@@ -856,7 +877,7 @@ class TestCli:
             ("simulate", ["--scale", "1e300"], "", cli.EXIT_VALIDATION),
             ("simulate", ["--scale", "0"], "", cli.EXIT_PARSE),
             ("simulate", ["--scale", "-5"], "", cli.EXIT_PARSE),
-            ("simulate", ["--scale", "0.5"], "simulate.power_grid=1,10\n", cli.EXIT_VALIDATION),
+            ("simulate", ["--scale", "1e-10"], "simulate.power_grid=1,10\n", cli.EXIT_VALIDATION),
         ],
         ids=["scale-inf", "seed-negative", "eta-above-one", "grid-nan", "pairs-inf", "mu-inf",
              "scale-1e300", "scale-zero", "scale-negative", "scale-below-one-count"],
@@ -915,7 +936,7 @@ class TestCli:
         out = tmp_path / "out"
         good = tmp_path / "good.txt"
         probs = tomography.expected_probabilities(states.werner(0.3))
-        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
+        pipeline.write_counts(probs * 1e6, good)
         argv = {
             "tomo": ["tomo", str(good), missing, "--out", str(out)],
             "metrics": ["metrics", missing],
@@ -939,7 +960,7 @@ class TestCli:
         out = tmp_path / "out"
         good = tmp_path / "good.txt"
         probs = tomography.expected_probabilities(states.werner(0.3))
-        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
+        pipeline.write_counts(probs * 1e6, good)
         argv = {
             "tomo": ["tomo", str(good), str(binary), "--out", str(out)],
             "metrics": ["metrics", str(binary)],
@@ -959,9 +980,9 @@ class TestCli:
         good = tmp_path / "a" / "good.txt"
         good.parent.mkdir()
         probs = tomography.expected_probabilities(states.werner(0.3))
-        tomography.write_counts(tomography.CountVector(probs * 1e6), good)
+        pipeline.write_counts(probs * 1e6, good)
         repeat = tmp_path / "good.txt"
-        tomography.write_counts(tomography.CountVector(probs * 1e6), repeat)
+        pipeline.write_counts(probs * 1e6, repeat)
         binary = tmp_path / "bin.txt"
         binary.write_bytes(b"\xff\xfeH\x00")
         bad = tmp_path / "bad.txt"
@@ -993,7 +1014,7 @@ class TestCli:
         files = []
         for name in ("a", "b"):
             path = tmp_path / f"{name}.txt"
-            tomography.write_counts(tomography.CountVector(probs * 1e6), path)
+            pipeline.write_counts(probs * 1e6, path)
             files.append(str(path))
         fit = tomography.mle_reconstruct
         calls = []

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tomography_oracles as to
-from biphoton import states, tomography
+from biphoton import pipeline, states, tomography
 from biphoton.errors import BiphotonError, ValidationError
 
 
@@ -19,7 +19,7 @@ def count_vectors(elements):
 def test_count_file_round_trips_exactly(tmp_path_factory, counts):
     assume(to.default_total_scale(counts) > 0)
     path = tmp_path_factory.mktemp("counts") / "counts.txt"
-    tomography.write_counts(tomography.CountVector(counts), path)
+    pipeline.write_counts(counts, path)
     back = tomography.read_counts(path)
     assert np.array_equal(back.counts, counts)
     assert back.total_scale == to.default_total_scale(counts)
