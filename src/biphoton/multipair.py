@@ -58,15 +58,20 @@ ten); a lone photon passes any analyzer with probability 1/2. Pairs are
 independent, so every setting has its class's rate, and
 setting_probabilities gives the 16 as plain floats.
 
+Counts are drawn by one stdlib Poisson sampler, _poisson_counts: biphoton
+simulate from the setting probabilities, tomography.simulate_counts from the
+Born probabilities of any state.
+
 The scalar state summary, StateMetrics, and its closed form for Werner
 states, werner_metrics, live here too, so the sweep runs on floats alone;
 states re-exports both.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, ValidationError
 
 CLASSES = ("HH", "HV", "HR")
 
@@ -168,6 +173,59 @@ def setting_probabilities(rates):
         raise DegenerateInputError("zero coincidence rates: setting probabilities are undefined")
     by_class = {"HH": rates.r_hh / denom, "HV": rates.r_hv / denom, "HR": rates.r_hr / denom}
     return [by_class[c] for c in SETTING_CLASSES]
+
+
+# numpy's largest Poisson mean, 2**63 - 1 - 10 sqrt(2**63 - 1): its draw fits a C long
+_POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
+
+def _poisson(rng, lam):
+    """One Poisson count of mean lam from the random.Random rng, as an int.
+
+    Below 10, the multiplication method: the number of uniforms whose running
+    product stays above exp(-lam). From 10 on, the transformed rejection method
+    with squeeze PTRS (Hormann, Insurance: Math. Econ. 12, 39 (1993)), numpy's
+    method there too. v is drawn from (0, 1], and the region us < 0.013, v > us,
+    which numpy rejects after forming k, is rejected before, so log(v) and
+    2a/us stay finite and every (u, v) is decided as numpy decides it. The
+    acceptance exponent -lam + k log(lam) - log(k!) is a difference of terms
+    near lam log(lam), so for lam >> 1e9 rounding (about eps lam log(lam))
+    swamps it, as it does in numpy; the squeeze us >= 0.07, v <= vr, which
+    decides most draws, does not use it. A mean above numpy's bound is a
+    ValidationError.
+    """
+    if not lam <= _POISSON_MEAN_MAX:
+        raise ValidationError(f"cannot sample a Poisson count of mean {lam!r}: "
+                              f"the largest mean sampled is {_POISSON_MEAN_MAX!r}")
+    if lam < 10:
+        limit, k, prod = math.exp(-lam), 0, rng.random()
+        while prod > limit:
+            k += 1
+            prod *= rng.random()
+        return k
+    slam, loglam = math.sqrt(lam), math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    log_invalpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2)
+    while True:
+        u = rng.random() - 0.5
+        v = 1.0 - rng.random()
+        us = 0.5 - abs(u)
+        if us < 0.013 and v > us:
+            continue
+        k = math.floor((2 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= vr:
+            return k
+        if k >= 0 and (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
+                       <= -lam + k * loglam - math.lgamma(k + 1)):
+            return k
+
+
+def _poisson_counts(probs, scale, seed):
+    """A Poisson count of mean scale * p for each p of probs, from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [_poisson(rng, scale * p) for p in probs]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -29,7 +28,6 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     ParseError,
-    ValidationError,
     read_text,
 )
 from .multipair import (
@@ -37,6 +35,7 @@ from .multipair import (
     PowerCalibration,
     SourceParams,
     StateMetrics,
+    _poisson_counts,
     effective_g,
     rates_primed,
     setting_probabilities,
@@ -284,53 +283,6 @@ def write_counts(counts, path, comments=("label,count",)):
         fh.write("\n".join(lines) + "\n")
 
 
-# numpy's largest Poisson mean, 2**63 - 1 - 10 sqrt(2**63 - 1): its draw fits a C long
-_POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
-
-
-def _poisson(rng, lam):
-    """One Poisson count of mean lam from the random.Random rng, as an int.
-
-    Below 10, the multiplication method: the number of uniforms whose running
-    product stays above exp(-lam). From 10 on, the transformed rejection method
-    with squeeze PTRS (Hormann, Insurance: Math. Econ. 12, 39 (1993)), numpy's
-    method there too. v is drawn from (0, 1], and the region us < 0.013, v > us,
-    which numpy rejects after forming k, is rejected before, so log(v) and
-    2a/us stay finite and every (u, v) is decided as numpy decides it. The
-    acceptance exponent -lam + k log(lam) - log(k!) is a difference of terms
-    near lam log(lam), so for lam >> 1e9 rounding (about eps lam log(lam))
-    swamps it, as it does in numpy; the squeeze us >= 0.07, v <= vr, which
-    decides most draws, does not use it. A mean above numpy's bound is a
-    ValidationError.
-    """
-    if not lam <= _POISSON_MEAN_MAX:
-        raise ValidationError(f"cannot sample a Poisson count of mean {lam!r}: "
-                              f"the largest mean sampled is {_POISSON_MEAN_MAX!r}")
-    if lam < 10:
-        limit, k, prod = math.exp(-lam), 0, rng.random()
-        while prod > limit:
-            k += 1
-            prod *= rng.random()
-        return k
-    slam, loglam = math.sqrt(lam), math.log(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    log_invalpha = math.log(1.1239 + 1.1328 / (b - 3.4))
-    vr = 0.9277 - 3.6224 / (b - 2)
-    while True:
-        u = rng.random() - 0.5
-        v = 1.0 - rng.random()
-        us = 0.5 - abs(u)
-        if us < 0.013 and v > us:
-            continue
-        k = math.floor((2 * a / us + b) * u + lam + 0.43)
-        if us >= 0.07 and v <= vr:
-            return k
-        if k >= 0 and (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
-                       <= -lam + k * loglam - math.lgamma(k + 1)):
-            return k
-
-
 def run_simulate(cfg, out_dir):
     """Synthesize one count file per power-grid point, drawing each setting's
     count from the Poisson law of mean scale * p, p being the detector model's
@@ -346,8 +298,7 @@ def run_simulate(cfg, out_dir):
         mu = cfg.calibration.pairs_per_power * power
         probs = setting_probabilities(rates_primed(SourceParams(mu, cfg.source.alpha,
                                                                 cfg.source.eta)))
-        rng = random.Random(f"{cfg.seed},{i}")
-        counts = [_poisson(rng, cfg.scale * p) for p in probs]
+        counts = _poisson_counts(probs, cfg.scale, f"{cfg.seed},{i}")
         if not any(counts[:4]):
             raise DegenerateInputError(f"simulate.scale={cfg.scale!r} gives zero HH, HV, VH and "
                                        f"VV counts at power={power!r}")

@@ -6,6 +6,7 @@ convention only flips the sign of imaginary parts of reconstructed
 off-diagonals; all shipped tests use this convention.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import (
     ValidationError,
     read_text,
 )
-from .multipair import CANONICAL_LABELS
+from .multipair import CANONICAL_LABELS, _poisson_counts
 
 _INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -38,13 +39,19 @@ _FIRST, _SECOND = (np.array([ANALYZER_STATES[lab[i]] for lab in CANONICAL_LABELS
 _KETS = (_FIRST[:, :, None] * _SECOND[:, None, :]).reshape(16, 4)
 PROJECTORS = _KETS[:, :, None] * _KETS.conj()[:, None, :]
 
-# Dual basis M_nu with Tr(P_u M_v) = delta_uv, via the real 16x16 Gram
-# matrix G[u,v] = Tr(P_u P_v) of the (informationally complete) set.
-DUAL_BASIS = np.einsum(
-    "vu,uij->vij",
-    np.linalg.inv(np.einsum("uij,vji->uv", PROJECTORS, PROJECTORS).real),
-    PROJECTORS,
-)
+# rho = I/4 + sum_k x_k B_k, B_k = sigma_i (x) sigma_j / 2 for (i, j) != (0, 0) with
+# Tr(B_k B_l) = delta_kl (one broadcast product), has p = 1/4 + A x, A[nu, k] = Tr(P_nu B_k);
+# the settings are informationally complete, so A has full column rank and x = A^+ (p - 1/4).
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+_BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]
+          ).reshape(16, 4, 4)[1:] / 2
+_DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
+_INVERSE = np.linalg.pinv(_DESIGN)
+_MIXED = np.eye(4) / 4
+
+
+def _rho(x):
+    return _MIXED + (x @ _BASIS.reshape(15, 16)).reshape(4, 4)
 
 
 def expected_probabilities(rho):
@@ -80,57 +87,39 @@ class CountVector:
 
 def simulate_counts(rho, scale, seed):
     """Poisson-sample coincidence counts for every setting of an arbitrary
-    state rho through numpy's generator, scale being the expected count of a
-    unit-probability setting.
-
-    Deterministic in (rho, scale, seed). biphoton simulate does not call it: it
-    draws from the detector model's setting probabilities with the stdlib
-    sampler of pipeline, so it runs without numpy.
-    """
+    state rho, scale being the expected count of a unit-probability setting,
+    through multipair._poisson_counts, as biphoton simulate draws. Deterministic
+    in (rho, scale, seed); seed is an integer, such as an np.int64, or None for
+    fresh entropy. random.Random(-n) draws what random.Random(n) does, so a
+    negative seed is a ValueError."""
     if not 0 < scale < np.inf:
         raise ValidationError("scale must be positive and finite")
-    probs = expected_probabilities(rho)
-    rng = np.random.default_rng(seed)
-    try:
-        counts = rng.poisson(scale * np.clip(probs, 0, None)).astype(float)
-    except ValueError as exc:
-        raise ValidationError(f"cannot sample counts at scale={scale!r}: {exc}") from exc
-    return CountVector(counts)
+    if seed is not None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed={seed} must be >= 0")
+    probs = np.clip(expected_probabilities(rho), 0, None).tolist()
+    return CountVector(_poisson_counts(probs, scale, seed))
 
 
 def linear_reconstruct(cv):
-    """Linear-inversion estimate rho = sum_nu r_nu M_nu from a CountVector,
-    with r_nu the counts over their total_scale.
-
-    Hermitian and unit-trace by construction, but may carry negative
-    eigenvalues for noisy counts.
-    """
+    """Linear-inversion estimate rho(x), x = A^+ (r - 1/4), from a CountVector,
+    r_nu being the counts over their total_scale: Hermitian and unit-trace by
+    construction, it fits all 16 frequencies, and may carry negative
+    eigenvalues for noisy counts."""
     if cv.total_scale == 0:
         raise DegenerateInputError("computational-basis counts are all zero")
-    r = cv.counts / cv.total_scale
-    rho = np.einsum("v,vij->ij", r, DUAL_BASIS)
-    return (rho + rho.conj().T) / 2
+    return _rho(_INVERSE @ (cv.counts / cv.total_scale - 0.25))
 
 
 # --- maximum likelihood --------------------------------------------------------
 
-_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
-# B_k = sigma_i (x) sigma_j / 2 with Tr(B_k B_l) = delta_kl, for (i, j) != (0, 0), the
-# Kronecker products as one broadcast product; A[nu, k] = Tr(P_nu B_k)
-_BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]
-          ).reshape(16, 4, 4)[1:] / 2
-_DESIGN = np.einsum("nij,kji->nk", PROJECTORS, _BASIS).real
 _MAX_STEPS = 500  # Newton-step budget of one fit
 # The barrier fit stops once 4 mu is at most max(tau, _REL_TOL * f), with
 # tau = max(_REL_TOL * min(1, 1 / N), _ROUND_TOL); the floor (1.3e-29) decides
 # for N above about 1e19, so mu is not cut toward 1e-10 / N, far below the rounding of f.
 _REL_TOL = 1e-10
 _ROUND_TOL = 256 * np.finfo(float).eps ** 2
-_MIXED = np.eye(4) / 4
-
-
-def _rho(x):
-    return _MIXED + (x @ _BASIS.reshape(15, 16)).reshape(4, 4)
 
 
 def _likelihood(x, r):

@@ -1,4 +1,5 @@
-"""The stdlib Poisson sampler that biphoton simulate draws its counts with.
+"""The stdlib Poisson sampler that biphoton simulate and
+tomography.simulate_counts draw their counts with.
 
 Its draws are tested against the exact Poisson pmf (a G-test, the pmf
 through math.lgamma) and against numpy's Generator.poisson (a two-sample
@@ -20,7 +21,7 @@ from scipy import stats
 
 import biphoton
 from biphoton.errors import ValidationError
-from biphoton.pipeline import _POISSON_MEAN_MAX, _poisson
+from biphoton.multipair import _POISSON_MEAN_MAX, _poisson
 
 MEANS = [0.1, 5.0, 30.0, 1e4, 1e9]
 P_MIN = 1e-3

@@ -3,6 +3,7 @@ reconstruction routes; the likelihood fit is checked against the reference
 fits in tomography_oracles."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -63,13 +64,13 @@ class TestProjectionSet:
         assert abs(np.linalg.det(g)) > 1e-12
         assert np.isfinite(np.linalg.cond(g))
 
-    def test_dual_basis_biorthogonal(self):
-        overlap = np.einsum("uij,vji->uv", tomography.PROJECTORS, tomography.DUAL_BASIS).real
-        assert np.allclose(overlap, np.eye(16), atol=1e-10)
+    def test_inverse_is_a_left_inverse_of_the_design(self):
+        # the design matrix has full column rank: its pseudo-inverse recovers every x
+        assert tomography._INVERSE.shape == (15, 16)
+        assert np.allclose(tomography._INVERSE @ tomography._DESIGN, np.eye(15), atol=1e-14)
 
     def test_constants_are_the_kron_products_bit_for_bit(self):
-        ours = (tomography.PROJECTORS, tomography._BASIS, tomography.DUAL_BASIS,
-                tomography._DESIGN)
+        ours = (tomography.PROJECTORS, tomography._BASIS, tomography._DESIGN)
         for got, want in zip(ours, to.kron_constants()):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -159,6 +160,25 @@ class TestSimulateCounts:
         with pytest.raises(ValidationError):
             tomography.simulate_counts(states.ideal_bell(), scale, seed=3)
 
+    def test_rejects_negative_seed(self):
+        # random.Random draws the same stream for -3 as for 3, so the two would collide
+        assert random.Random(-3).random() == random.Random(3).random()
+        with pytest.raises(ValueError, match="seed=-3"):
+            tomography.simulate_counts(states.ideal_bell(), 1e5, seed=-3)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        a = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=np.int64(3))
+        b = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=3)
+        assert np.array_equal(a.counts, b.counts)
+
+    def test_rejects_float_seed(self):
+        with pytest.raises(TypeError):
+            tomography.simulate_counts(states.ideal_bell(), 1e5, seed=3.0)
+
+    def test_no_seed_draws_fresh_counts(self):
+        cv = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=None)
+        assert cv.total_scale > 0
+
 
 class TestLinearReconstruct:
     @pytest.mark.parametrize("rho_fn", [states.ideal_bell, lambda: states.werner(0.4)])
@@ -195,6 +215,28 @@ class TestLinearReconstruct:
     def test_all_zero_counts_rejected(self):
         with pytest.raises(DegenerateInputError):
             tomography.linear_reconstruct(tomography.CountVector(np.zeros(16)))
+
+    def test_matches_the_dual_basis_inversion(self):
+        # the inversion through the projectors' dual basis stays the oracle
+        rng = np.random.default_rng(29)
+        cases = [tomography.CountVector(tomography.expected_probabilities(random_state(rng))
+                                        * 10 ** rng.uniform(-5, 12)) for _ in range(50)]
+        cases += [tomography.simulate_counts(states.werner(g), scale, seed=seed)
+                  for g in (0.002, 0.1, 0.5, 1.0) for scale in (1e3, 1e5) for seed in range(5)]
+        cases += [tomography.CountVector(c) for c in BOUNDARY_FILES]
+        for cv in cases:
+            rho = tomography.linear_reconstruct(cv)
+            assert np.max(np.abs(rho - to.dual_basis_reconstruct(cv))) <= 1e-14
+
+    def test_exactly_hermitian_with_unit_trace(self):
+        # what the Hermitian part (rho + rho^dag) / 2 of the dual-basis sum
+        # guaranteed, over count units from 1e-5 to 1e12
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            counts = rng.uniform(0, 1, 16) * 10 ** rng.uniform(-5, 12)
+            rho = tomography.linear_reconstruct(tomography.CountVector(counts))
+            assert np.array_equal(rho, rho.conj().T)
+            assert abs(np.trace(rho) - 1) <= 4 * np.finfo(float).eps
 
 
 class TestMleReconstruct:
@@ -253,8 +295,11 @@ class TestMleReconstruct:
         assert medians[0] > medians[1] > medians[2]
 
 
-# Interior Poisson counts of werner(0.002) (lambda_min of the linear estimate 2.3e-4)
-REPRODUCER = tomography.simulate_counts(states.werner(0.002), 1e7, seed=3)
+# Interior Poisson counts of werner(0.002) at scale 1e7 (lambda_min of the linear
+# estimate 2.3e-4), as numpy's generator drew them with seed 3
+REPRODUCER = tomography.CountVector([
+    4991299, 5067, 4991494, 4996, 2501114, 2499509, 2499690, 2498986,
+    2500913, 4993670, 2502286, 2499873, 2499430, 2500736, 2498548, 4993668])
 
 
 class TestCertifiedStart:
@@ -410,11 +455,11 @@ def test_fit_matches_nelder_mead_oracle(cv):
 
 # Low-power Werner count files (mu=0.002 at scale 1e5, mu=0.005 at scale
 # 1e4) on which the restarted Nelder-Mead search exhausted 200k evaluations
-# without converging, then simulate_counts of ideal_bell() (seed 28) and
-# werner(0.002) (seed 47) at scale 1e5, on which a barrier line search that
-# tested a trial's positivity with eigvalsh and took its barrier terms from a
-# separate eigh accepted a trial whose lambda_min the two solvers put on
-# opposite sides of 0 (about 1e-17): the next Newton step was NaN, with
+# without converging, then the counts numpy's generator drew for ideal_bell()
+# (seed 28) and werner(0.002) (seed 47) at scale 1e5, on which a barrier line
+# search that tested a trial's positivity with eigvalsh and took its barrier
+# terms from a separate eigh accepted a trial whose lambda_min the two solvers
+# put on opposite sides of 0 (about 1e-17): the next Newton step was NaN, with
 # RuntimeWarnings from sqrt, log and divide.
 BOUNDARY_FILES = [
     [49834, 38, 49890, 47, 24996, 25145, 25090, 24817,
@@ -497,11 +542,13 @@ class TestBarrierOncePerIterate:
 
 
 def saddle_case():
-    """Low-power Werner counts on which the Cholesky-factor fits (L-BFGS and
+    """Low-power Werner counts (werner(0.01) at scale 1e4, as numpy's generator
+    drew them with seed 7) on which the Cholesky-factor fits (L-BFGS and
     Nelder-Mead) stop at a rank-2 stationary point, objective 0.166086 and
     werner_g 0.020074; the optimum has rank 3, objective 0.1660405 and
     werner_g 0.020111."""
-    return tomography.simulate_counts(states.werner(0.01), 1e4, seed=7)
+    return tomography.CountVector([5000, 29, 4933, 30, 2471, 2463, 2501, 2455,
+                                   2516, 4968, 2519, 2499, 2528, 2481, 2554, 4926])
 
 
 def certified_cases():

@@ -27,10 +27,14 @@ with a dict of seen labels read out in canonical order. Each returns
 (counts, total_scale); the package must give the same values or raise the
 same exception with the same message.
 
-`kron_constants` builds the projectors, the Pauli-product basis, the dual
-basis and the design matrix with one np.kron call per product, as the
-package did before it formed them as broadcast products; its arrays must
-equal the package's byte for byte.
+`kron_constants` builds the projectors, the Pauli-product basis and the
+design matrix with one np.kron call per product, as the package did before
+it formed them as broadcast products; its arrays must equal the package's
+byte for byte.
+
+`dual_basis_reconstruct` is the linear inversion as the package did it
+before it took the pseudo-inverse of the design matrix: through the dual
+basis of the projectors, then the Hermitian part.
 
 `barrier_fit_reference` is the package's barrier Newton loop as it was
 before it formed the likelihood and barrier terms once per iterate: it
@@ -58,19 +62,31 @@ PG_STEPS = 1_000
 
 
 def kron_constants():
-    """(PROJECTORS, _BASIS, DUAL_BASIS, _DESIGN) through np.kron and np.outer."""
+    """(PROJECTORS, _BASIS, _DESIGN) through np.kron and np.outer."""
     def projector(label):
         ket = np.kron(tomography.ANALYZER_STATES[label[0]], tomography.ANALYZER_STATES[label[1]])
         return np.outer(ket, ket.conj())
 
     projectors = np.stack([projector(lab) for lab in tomography.CANONICAL_LABELS])
-    dual = np.einsum("vu,uij->vij",
-                     np.linalg.inv(np.einsum("uij,vji->uv", projectors, projectors).real),
-                     projectors)
     pauli = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
     basis = np.stack([np.kron(a, b) / 2 for a in pauli for b in pauli][1:])
     design = np.einsum("nij,kji->nk", projectors, basis).real
-    return projectors, basis, dual, design
+    return projectors, basis, design
+
+
+def dual_basis():
+    """The dual basis M_nu, Tr(P_u M_v) = delta_uv, through the inverse of the
+    real 16x16 Gram matrix G[u, v] = Tr(P_u P_v) of the projectors."""
+    projectors = kron_constants()[0]
+    gram = np.einsum("uij,vji->uv", projectors, projectors).real
+    return np.einsum("vu,uij->vij", np.linalg.inv(gram), projectors)
+
+
+def dual_basis_reconstruct(cv):
+    """rho = sum_nu r_nu M_nu, r being the counts over their total_scale, then
+    (rho + rho^dag) / 2."""
+    rho = np.einsum("v,vij->ij", cv.counts / cv.total_scale, dual_basis())
+    return (rho + rho.conj().T) / 2
 
 
 def default_total_scale(counts):
