@@ -52,9 +52,9 @@ def _classify(exc):
 
 
 def _file_message(fname, exc):
-    """The message of a per-file tomo error, naming the file once: the
-    count-file errors already start with its path, and an OSError gives
-    only its reason."""
+    """The message of an error in one tomo or metrics input file, naming the
+    file once: the count-file errors already start with its path, and an
+    OSError gives only its reason."""
     if isinstance(exc, OSError):
         return f"{fname}: {exc.strerror or exc}"
     message = str(exc)
@@ -124,7 +124,8 @@ def main(argv=None):
             return EXIT_OK
     except (BiphotonError, OSError) as exc:
         code, prefix = _classify(exc)
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        message = _file_message(args.file, exc) if args.command == "metrics" else exc
+        print(f"{prefix}: {message}", file=sys.stderr)
         return code
     raise AssertionError("unreachable")
 

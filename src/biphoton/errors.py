@@ -27,9 +27,9 @@ class ConfigError(BiphotonError):
 class ConvergenceError(BiphotonError):
     """The likelihood optimizer did not converge.
 
-    Carries the last state reached and its certificate gap, an upper bound on
-    how far that state's objective lies above the optimum per unit N (the
-    counts' total_scale), so callers can inspect or accept the partial result.
+    Carries the last state reached and its certificate gap, an exact bound on
+    how far its objective lies above the optimum per unit N (the counts'
+    total_scale), so callers can inspect or accept the partial result.
     """
 
     def __init__(self, message, best_state=None, gap=None):

@@ -179,7 +179,7 @@ def format_density_matrix(rho):
     return _MATRIX_FORMAT % tuple(rho.ravel().view(float).tolist())
 
 
-def _parse_entry(token):
+def _parse_entry(token, lineno):
     token = token.strip()
     try:
         if token.startswith("(") and token.endswith(")"):
@@ -188,23 +188,23 @@ def _parse_entry(token):
         else:
             z = complex(token[:-1] + "j" if token.endswith("i") else token)
     except ValueError as exc:
-        raise ParseError(f"bad matrix entry {token!r}") from exc
+        raise ParseError(f"line {lineno}: bad matrix entry {token!r}") from exc
     if not np.isfinite(z):
-        raise ParseError(f"matrix entry {token!r} is not finite")
+        raise ParseError(f"line {lineno}: matrix entry {token!r} is not finite")
     return z
 
 
 def parse_density_matrix(text):
     """Parse the 4x4 plain-text matrix format; '#' lines are comments."""
     rows = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if len(tokens) != 4:
-            raise ParseError(f"expected 4 entries per row, got {len(tokens)}")
-        rows.append([_parse_entry(t) for t in tokens])
+            raise ParseError(f"line {lineno}: expected 4 entries per row, got {len(tokens)}")
+        rows.append([_parse_entry(t, lineno) for t in tokens])
     if len(rows) != 4:
         raise ParseError(f"expected 4 matrix rows, got {len(rows)}")
     return np.array(rows, dtype=complex)

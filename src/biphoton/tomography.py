@@ -1,5 +1,5 @@
 """16-projection polarization tomography: count simulation, linear
-inversion, and maximum-likelihood reconstruction.
+inversion, and maximum-likelihood reconstruction with no variance floor.
 
 Analyzer convention: R = (1, -i)/sqrt(2), L = (1, i)/sqrt(2). Flipping the
 convention only flips the sign of imaginary parts of reconstructed
@@ -122,21 +122,18 @@ _REL_TOL = 1e-10
 _ROUND_TOL = 256 * np.finfo(float).eps ** 2
 
 
-def _likelihood(x, r):
-    """f at rho(x) for the frequencies r = n / N, its gradient A^T f'(p) and Hessian
-    A^T diag(f''(p)) A, p = 1/4 + A x, with f''(p) = r^2 / p^3 above the floor 1e-9."""
-    p = 0.25 + _DESIGN @ x
-    free = p > 1e-9
-    var = np.where(free, p, 1e-9)
-    d1 = np.where(free, (1 - r**2 / var**2) / 2, (p - r) / 1e-9)
-    d2 = np.where(free, r**2 / var**3, 1e9)
-    return _objective(x, r), d1 @ _DESIGN, (_DESIGN.T * d2) @ _DESIGN
+def _likelihood(w, v, r):
+    """f, its gradient A^T f'(p) and Hessian A^T diag(r^2 / p^3) A at rho's eigenpairs (w, v)."""
+    p = np.abs(_KETS.conj() @ v) ** 2 @ w
+    d1 = (1 - r**2 / p**2) / 2
+    return _objective(w, v, r), d1 @ _DESIGN, (_DESIGN.T * (r**2 / p**3)) @ _DESIGN
 
 
-def _objective(x, r):
-    """f alone, for the line search's accept test and _likelihood."""
-    p = 0.25 + _DESIGN @ x
-    return float(((p - r) ** 2 / (2 * np.where(p > 1e-9, p, 1e-9))).sum())
+def _objective(w, v, r):
+    """f alone, for the line search's accept test and _likelihood. p_nu = sum_i w_i |<ab|v_i>|^2
+    sums non-negative terms, so p > 0 wherever w > 0, however 1/4 + A x would round."""
+    p = np.abs(_KETS.conj() @ v) ** 2 @ w
+    return float(((p - r) ** 2 / (2 * p)).sum())
 
 
 def _neg_log_det(w, v):
@@ -157,18 +154,18 @@ def mle_reconstruct(cv):
     Gaussian-approximated Poisson likelihood of a CountVector's frequencies
     r = n / N, N being its total_scale.
 
-    Per unit N, f = sum_nu (p_nu - r_nu)^2 / 2 max(p_nu, 1e-9) is non-negative
-    (p_nu being the Born probabilities) and 0 exactly at p = r. The linear
+    Per unit N, f = sum_nu (p_nu - r_nu)^2 / 2 p_nu is non-negative (p_nu being
+    the Born probabilities, with no floor) and 0 exactly at p = r. The linear
     estimate fits all 16 frequencies (16 settings for 15 parameters and the
     normalization), so f = 0 there: a linear estimate with lambda_min >= 1e-9 is
     the optimum, returned as it is after one pass, in any count unit. Otherwise
     a log-det barrier method (Boyd & Vandenberghe, Convex Optimization (2004),
     ch. 11) takes damped Newton steps on F = f - mu log det rho from the linear
     estimate shrunk toward I/4, so rho stays positive definite, and ends once
-    4 mu, a bound on f - f* at a centered iterate (f is convex in rho but for a
-    kink at the variance floor), is at most max(tau, 1e-10 f), with
-    tau = max(1e-10 min(1, 1 / N), 256 eps^2): for 1 <= N <= 1e19, the rule on
-    the counts' N f divided by N.
+    4 mu, a bound on f - f* at a centered iterate (f is convex on the whole
+    positive-definite cone, where every p_nu > 0), is at most max(tau, 1e-10 f),
+    with tau = max(1e-10 min(1, 1 / N), 256 eps^2): for 1 <= N <= 1e19, the rule
+    on the counts' N f divided by N.
     Returns (rho, steps), steps being the Newton steps taken (1 for the linear
     estimate). Raises ConvergenceError with the last state and its gap per unit N
     if the Newton-step budget runs out, and ValidationError if the fit overflows
@@ -192,12 +189,13 @@ def mle_reconstruct(cv):
 
 def _barrier_fit(x, r, tol):
     """The barrier Newton loop of mle_reconstruct on r from the positive-definite rho(x).
-    Each trial's eigenpairs are computed once: the accept test's positivity and the
-    next step's barrier terms read the same ones, so they cannot disagree in sign.
+    Each trial's eigenpairs are computed once: the accept test's positivity and f, and
+    the next step's likelihood and barrier terms, read the same ones (so p > 0 in f).
     The likelihood and barrier terms are formed once per x, when x moves."""
-    f, grad, hess = _likelihood(x, r)
+    w, v = np.linalg.eigh(_rho(x))
+    f, grad, hess = _likelihood(w, v, r)
     mu = max(_gap(x, grad), tol, _REL_TOL * f) / 4
-    barrier, dbarrier, d2barrier = _neg_log_det(*np.linalg.eigh(_rho(x)))
+    barrier, dbarrier, d2barrier = _neg_log_det(w, v)
     for steps in range(1, _MAX_STEPS + 1):
         g = grad + mu * dbarrier
         dx = np.linalg.solve(hess + mu * d2barrier, -g)
@@ -208,10 +206,10 @@ def _barrier_fit(x, r, tol):
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
             w_trial, v_trial = np.linalg.eigh(_rho(trial))
-            if w_trial[0] > 0 and (_objective(trial, r) - mu * np.sum(np.log(w_trial))
+            if w_trial[0] > 0 and (_objective(w_trial, v_trial, r) - mu * np.sum(np.log(w_trial))
                                    <= f + mu * barrier - t * mu * lam2 / 4):
                 x = trial
-                f, grad, hess = _likelihood(x, r)
+                f, grad, hess = _likelihood(w_trial, v_trial, r)
                 barrier, dbarrier, d2barrier = _neg_log_det(w_trial, v_trial)
                 break
             t /= 2

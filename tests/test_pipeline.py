@@ -1007,7 +1007,16 @@ class TestCli:
         path.write_text("\n".join(rows) + "\n")
         assert cli.main(["metrics", str(path)]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
-        assert err == f"parse error: matrix entry {entry!r} is not finite\n"
+        assert err == f"parse error: {path}: line 3: matrix entry {entry!r} is not finite\n"
+
+    def test_metrics_parse_error_names_file_and_line(self, tmp_path, capsys):
+        rows = states.format_density_matrix(states.werner(0.3)).splitlines()
+        rows[1] = " ".join(rows[1].split()[:3])
+        path = tmp_path / "bad.txt"
+        path.write_text("# a comment line\n" + "\n".join(rows) + "\n")
+        assert cli.main(["metrics", str(path)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"parse error: {path}: line 3: expected 4 entries per row, got 3\n")
 
     def test_tomo_nonconvergence_keeps_batch(self, tmp_path, monkeypatch):
         probs = tomography.expected_probabilities(states.werner(0.3))

@@ -353,54 +353,88 @@ def central_difference(fn, x, h):
     return np.array([(fn(x + h * e) - fn(x - h * e)) / (2 * h) for e in np.eye(len(x))])
 
 
+def likelihood_at(x, r):
+    """tomography._likelihood at rho(x), from rho(x)'s eigenpairs."""
+    return tomography._likelihood(*np.linalg.eigh(tomography._rho(x)), r)
+
+
+def objective_at(x, r):
+    """tomography._objective at rho(x), from rho(x)'s eigenpairs."""
+    return tomography._objective(*np.linalg.eigh(tomography._rho(x)), r)
+
+
 class TestLikelihoodGradient:
     """Gradients and Hessians of the fit's objective and barrier in the 15
     coordinates of rho, against central differences."""
 
-    def check_likelihood(self, x, cv, h):
-        # f is per unit N, the count oracle's objective over N
-        r = frequencies(cv)
-        f, grad, hess = tomography._likelihood(x, r)
-        num_grad = central_difference(lambda y: tomography._likelihood(y, r)[0], x, h)
-        num_hess = central_difference(lambda y: tomography._likelihood(y, r)[1], x, h)
-        assert cv.total_scale * f == pytest.approx(
-            to.objective(tomography._rho(x), cv.counts, cv.total_scale), rel=1e-12)
+    def check_likelihood(self, x, r, h):
+        """f at x, after checking its gradient and Hessian."""
+        f, grad, hess = likelihood_at(x, r)
+        num_grad = central_difference(lambda y: likelihood_at(y, r)[0], x, h)
+        num_hess = central_difference(lambda y: likelihood_at(y, r)[1], x, h)
         assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
         assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
+        return f
 
     def test_random_parameters(self):
+        # f is per unit N, the count oracle's objective over N
         rng = np.random.default_rng(5)
         cv = tomography.simulate_counts(states.werner(0.5), 1e4, seed=1)
         for _ in range(5):
-            self.check_likelihood(coordinates(random_state(rng)), cv, h=1e-6)
+            x = coordinates(random_state(rng))
+            f = self.check_likelihood(x, frequencies(cv), h=1e-6)
+            assert cv.total_scale * f == pytest.approx(
+                to.objective(tomography._rho(x), cv.counts, cv.total_scale), rel=1e-12)
 
-    def test_clamped_variance(self):
-        # near the Bell state the HV model count (1e-5) sits below the
-        # variance floor (1e-9 * scale = 1e-4), so that setting takes the
-        # clamped branch; the step h keeps it there
+    def test_near_bell_point(self):
+        # near the Bell state the HV and VH probabilities are 1e-10, below the 1e-9
+        # at which a variance floor once clamped them: f is the literal sum there
         cv = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=0)
         rho = (1 - 4e-10) * states.ideal_bell() + 4e-10 * states.totally_mixed()
-        hv = cv.total_scale * tomography.expected_probabilities(rho)[1]
-        assert hv < 1e-9 * cv.total_scale
-        self.check_likelihood(coordinates(rho), cv, h=1e-10)
+        p, r = tomography.expected_probabilities(rho), frequencies(cv)
+        assert p[1] < 1e-9
+        f = self.check_likelihood(coordinates(rho), r, h=1e-10)
+        assert f == pytest.approx(np.sum((p - r) ** 2 / (2 * p)), rel=1e-12)
+
+    def test_convex_across_the_old_floor(self):
+        # along (1 - s) Phi+ + s I/4 the HV probability s/4 crosses 1e-9 at s = 4e-9,
+        # where the floor put a concave kink (second difference -9e-11) in f
+        r = frequencies(tomography.CountVector(BOUNDARY_FILES[2]))  # CI's bell.txt
+
+        def f(s):
+            return objective_at(coordinates((1 - s) * states.ideal_bell()
+                                            + s * states.totally_mixed()), r)
+
+        s, ds = 4e-9, 4e-10
+        assert f(s - ds) - 2 * f(s) + f(s + ds) >= -1e-16
+
+    def test_probabilities_are_positive_where_the_coordinates_round_to_zero(self):
+        # rho = diag(w) in its exact eigenbasis: 1/4 + A x rounds the three small
+        # probabilities to <= 0, the eigenpairs keep them. With r = e_nu,
+        # f - f(r = 0) = 1 / (2 p_nu) - 1, which reads each p_nu out of _objective.
+        w = np.array([1e-20, 3e-19, 2e-18, 1 - 2.3e-18])
+        v = np.eye(4, dtype=complex)
+        x = coordinates(np.diag(w).astype(complex))
+        assert np.sum(0.25 + tomography._DESIGN @ x <= 0) >= 3
+        literal = np.array([sum(wi * abs(np.vdot(ket, vi)) ** 2 for wi, vi in zip(w, v.T))
+                            for ket in tomography._KETS])
+        f0 = tomography._objective(w, v, np.zeros(16))
+        p = np.array([1 / (2 * (tomography._objective(w, v, e) - f0 + 1)) for e in np.eye(16)])
+        assert np.all(p > 0)
+        assert np.max(np.abs(p / literal - 1)) <= 1e-12
 
     def test_objective_is_the_likelihood_value(self):
         # bitwise: the accept tests compare it with f from _likelihood. Points
         # inside the PSD cone, on its boundary (Bell, with model counts at 0),
-        # just inside it (model counts below the variance floor) and outside it
+        # just inside it (model counts below 1e-9 of N) and outside it
         rng = np.random.default_rng(9)
         near_bell = (1 - 4e-10) * states.ideal_bell() + 4e-10 * states.totally_mixed()
         points = [coordinates(random_state(rng, k)) for k in (1, 2, 4) for _ in range(10)]
         points += [coordinates(states.ideal_bell()), coordinates(near_bell), 3 * points[0]]
-        below_floor = 0
         for cv in (tomography.simulate_counts(states.werner(0.05), 1e4, seed=3),
                    tomography.simulate_counts(states.ideal_bell(), 1e5, seed=0)):
             for x in points:
-                m = cv.total_scale * tomography.expected_probabilities(tomography._rho(x))
-                below_floor += bool(np.any(m <= 1e-9 * cv.total_scale))
-                assert (tomography._objective(x, frequencies(cv))
-                        == tomography._likelihood(x, frequencies(cv))[0])
-        assert below_floor >= 4
+                assert objective_at(x, frequencies(cv)) == likelihood_at(x, frequencies(cv))[0]
 
     def test_gap_matches_certificate(self):
         # the fit's gap, from the coordinates' gradient, against the bound
@@ -410,7 +444,7 @@ class TestLikelihoodGradient:
         for _ in range(5):
             rho = random_state(rng)
             x = coordinates(rho)
-            gap = tomography._gap(x, tomography._likelihood(x, frequencies(cv))[1])
+            gap = tomography._gap(x, likelihood_at(x, frequencies(cv))[1])
             assert cv.total_scale * gap == pytest.approx(
                 to.certificate(rho, cv.counts, cv.total_scale), rel=1e-9)
 
@@ -498,6 +532,27 @@ def test_boundary_fit_is_the_same_in_any_count_unit(counts, factor):
     assert np.max(np.abs(scaled - rho)) <= 1e-6
 
 
+# Poisson counts of the pure states |HV> and |RL> at N = 1e17, on whose barrier fits
+# 1/4 + A x rounds a positive-definite trial's smallest probabilities to <= 0: with
+# the variance floor deleted from that form of p, each fit raised ValidationError
+NEAR_PURE_FILES = [
+    [0, 100000000039241456, 0, 0, 0, 49999999837793080, 50000000248144656, 0,
+     24999999814155148, 25000000202636616, 25000000115029636, 50000000057796408,
+     0, 0, 49999999982964032, 25000000213631976],
+    [24999999873303636, 24999999940995408, 24999999885302384, 25000000175464764,
+     50000000089498992, 50000000086670256, 25000000010238904, 25000000124517244,
+     0, 24999999511968676, 49999999982963992, 25000000213631972,
+     25000000274473484, 50000000212693104, 50000000436403920, 99999999513828320],
+]
+
+
+@pytest.mark.parametrize("counts", NEAR_PURE_FILES, ids=["HV", "RL"])
+def test_near_pure_state_at_large_n_fits(counts):
+    rho, steps = tomography.mle_reconstruct(tomography.CountVector(counts))
+    assert steps > 1
+    states.validate(rho)
+
+
 def boundary_inputs():
     """54 simulated count vectors near the PSD boundary: every fit runs the
     barrier loop."""
@@ -529,16 +584,16 @@ class TestBarrierOncePerIterate:
     def test_no_repeated_likelihood_call(self, monkeypatch):
         likelihood = tomography._likelihood
         for cv in self.cases():
-            xs = []
+            rhos = []
 
-            def recording(x, *args):
-                xs.append(x.copy())
-                return likelihood(x, *args)
+            def recording(w, v, r):
+                rhos.append((v * w) @ v.conj().T)
+                return likelihood(w, v, r)
 
             monkeypatch.setattr(tomography, "_likelihood", recording)
             _, steps = tomography.mle_reconstruct(cv)
-            assert len(xs) <= steps
-            assert not any(np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+            assert len(rhos) <= steps
+            assert not any(np.array_equal(a, b) for a, b in zip(rhos, rhos[1:]))
 
 
 def saddle_case():

@@ -1,7 +1,11 @@
 """Reference likelihood fits for the tomography tests.
 
 All three minimize the package's objective (`objective` below) over the
-density matrices and share no code with its barrier Newton fit:
+density matrices and share no code with its barrier Newton fit. `objective`
+keeps a variance floor at 1e-9 of the count scale, which the package has
+dropped: the Cholesky fits visit singular rho, where a model count may be 0.
+The two agree wherever every Born probability exceeds 1e-9, which holds at
+every point the tests compare:
 
 - `lbfgs_fit`, the old path: one L-BFGS-B run with the analytic gradient
   over the 16 real parameters of a lower-triangular Cholesky factor T,
@@ -38,7 +42,8 @@ basis of the projectors, then the Hermitian part.
 
 `barrier_fit_reference` is the package's barrier Newton loop as it was
 before it formed the likelihood and barrier terms once per iterate: it
-recomputes them at the top of every step, also where x has not moved.
+recomputes them from the iterate's eigenpairs at the top of every step, also
+where x has not moved.
 
 The Cholesky form is the Burer-Monteiro factorization (Math. Program. 95,
 329 (2003)): at a rank-deficient rho it has stationary points that are not
@@ -142,7 +147,8 @@ def read_counts_per_label(path):
 def objective(rho, raw_counts, scale):
     """Gaussian-approximated Poisson negative log-likelihood of the counts
     under rho, each setting's variance its model count clamped below at
-    1e-9 * scale."""
+    1e-9 * scale (the package's objective wherever every model count exceeds
+    that floor)."""
     return objective_gradient(rho, raw_counts, scale)[0]
 
 
@@ -303,15 +309,15 @@ def projected_gradient_fit(cv):
 
 def barrier_fit_reference(x, r, tol):
     """tomography._barrier_fit as it was when each step began by evaluating
-    _likelihood and _neg_log_det at x, whether or not the last step moved x
-    (the first step repeats the call before the loop, and the step after each
-    centering repeats the one before it). Returns (rho, steps)."""
+    _likelihood and _neg_log_det at x's eigenpairs, whether or not the last
+    step moved x (the first step repeats the call before the loop, and the step
+    after each centering repeats the one before it). Returns (rho, steps)."""
     t_ = tomography
-    f, grad, _ = t_._likelihood(x, r)
-    mu = max(t_._gap(x, grad), tol, t_._REL_TOL * f) / 4
     w, v = np.linalg.eigh(t_._rho(x))
+    f, grad, _ = t_._likelihood(w, v, r)
+    mu = max(t_._gap(x, grad), tol, t_._REL_TOL * f) / 4
     for steps in range(1, t_._MAX_STEPS + 1):
-        f, grad, hess = t_._likelihood(x, r)
+        f, grad, hess = t_._likelihood(w, v, r)
         barrier, dbarrier, d2barrier = t_._neg_log_det(w, v)
         g = grad + mu * dbarrier
         dx = np.linalg.solve(hess + mu * d2barrier, -g)
@@ -320,7 +326,7 @@ def barrier_fit_reference(x, r, tol):
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
             w_trial, v_trial = np.linalg.eigh(t_._rho(trial))
-            if w_trial[0] > 0 and (t_._objective(trial, r)
+            if w_trial[0] > 0 and (t_._objective(w_trial, v_trial, r)
                                    - mu * np.sum(np.log(w_trial))
                                    <= f + mu * barrier - t * mu * lam2 / 4):
                 x, w, v = trial, w_trial, v_trial
