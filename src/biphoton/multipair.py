@@ -69,49 +69,53 @@ states re-exports both.
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateInputError, ValidationError
 
 CLASSES = ("HH", "HV", "HR")
 
+# The value types are named tuples: they unpack, index and compare as tuples.
+# A validating type checks in __new__ and makes _make call it, so that _replace,
+# which builds its result through _make, runs the same checks.
 
-@dataclass(frozen=True)
-class SourceParams:
+
+class SourceParams(namedtuple("SourceParams", ("mu", "alpha", "eta"))):
     """Source and detection parameters for the coincidence model."""
 
-    mu: float
-    alpha: float
-    eta: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.mu < math.inf:
-            raise ValueError(f"mu={self.mu} must be finite and >= 0")
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha={self.alpha} must be in (0, 1]")
-        if not 0 <= self.eta <= 1:
-            raise ValueError(f"eta={self.eta} must be in [0, 1]")
+    def __new__(cls, mu, alpha, eta=1.0):
+        if not 0 <= mu < math.inf:
+            raise ValueError(f"mu={mu} must be finite and >= 0")
+        if not 0 < alpha <= 1:
+            raise ValueError(f"alpha={alpha} must be in (0, 1]")
+        if not 0 <= eta <= 1:
+            raise ValueError(f"eta={eta} must be in [0, 1]")
+        return tuple.__new__(cls, (mu, alpha, eta))
 
-
-@dataclass(frozen=True)
-class RateTriple:
-    """Per-pulse coincidence probabilities for the three projection classes."""
-
-    r_hh: float
-    r_hv: float
-    r_hr: float
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PowerCalibration:
+RateTriple = namedtuple("RateTriple", ("r_hh", "r_hv", "r_hr"))
+RateTriple.__doc__ = "Per-pulse coincidence probabilities for the three projection classes."
+
+
+class PowerCalibration(namedtuple("PowerCalibration", ("pairs_per_power", "power_unit"))):
     """Linear conversion mu = pairs_per_power * excitation power."""
 
-    pairs_per_power: float
-    power_unit: str = "uW"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.pairs_per_power < math.inf:
+    def __new__(cls, pairs_per_power, power_unit="uW"):
+        if not 0 < pairs_per_power < math.inf:
             raise ValueError("pairs_per_power must be positive and finite")
+        return tuple.__new__(cls, (pairs_per_power, power_unit))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _rate(mu, w1, e1, gap):
@@ -228,16 +232,9 @@ def _poisson_counts(probs, scale, seed):
     return [_poisson(rng, scale * p) for p in probs]
 
 
-@dataclass(frozen=True)
-class StateMetrics:
-    """The scalar summary computed for every analyzed state."""
-
-    fidelity: float
-    tangle: float
-    linear_entropy: float
-    purity: float
-    werner_g: float
-    min_eigenvalue: float
+StateMetrics = namedtuple("StateMetrics", ("fidelity", "tangle", "linear_entropy", "purity",
+                                           "werner_g", "min_eigenvalue"))
+StateMetrics.__doc__ = "The scalar summary computed for every analyzed state."
 
 
 def _check_mixing(g):

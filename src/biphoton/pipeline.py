@@ -18,8 +18,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
@@ -76,23 +75,10 @@ def _float_list(raw, key):
     return vals
 
 
-@dataclass
-class RunConfig:
-    """Resolved configuration for one pipeline invocation."""
-
-    seed: int
-    source: SourceParams
-    calibration: PowerCalibration
-    eta_list: list
-    sweep_grid: list
-    simulate_grid: list
-    scale: float
-    raw: dict
-
-    @property
-    def config_hash(self):
-        blob = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+RunConfig = namedtuple("RunConfig", ("seed", "source", "calibration", "eta_list", "sweep_grid",
+                                     "simulate_grid", "scale", "raw", "config_hash"))
+RunConfig.__doc__ = """Resolved configuration for one pipeline invocation; config_hash is
+the first 12 hex digits of the SHA-256 of raw, the merged keys, as sorted JSON."""
 
 
 def build_config(keys, overrides=None):
@@ -105,6 +91,7 @@ def build_config(keys, overrides=None):
         _float_list(merged[key], key) if key in merged else []
         for key in ("sweep.eta_list", "sweep.power_grid", "simulate.power_grid")
     )
+    config_hash = hashlib.sha256(json.dumps(merged, sort_keys=True).encode()).hexdigest()[:12]
     try:
         cfg = RunConfig(
             seed=int(merged["seed"]),
@@ -122,6 +109,7 @@ def build_config(keys, overrides=None):
             simulate_grid=simulate_grid,
             scale=float(merged["simulate.scale"]),
             raw=merged,
+            config_hash=config_hash,
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -157,15 +145,10 @@ def write_table(path, header, lines, meta):
 # --- subcommands ----------------------------------------------------------------
 
 
-@dataclass
-class AnalysisRecord:
-    """One reconstructed state plus its metrics and diagnostics."""
-
-    label: str
-    rho: object  # 4x4 complex array
-    metrics: StateMetrics
-    optimizer_evals: int
-    hr_consistency: float
+AnalysisRecord = namedtuple("AnalysisRecord", ("label", "rho", "metrics", "optimizer_evals",
+                                               "hr_consistency"))
+AnalysisRecord.__doc__ = """One reconstructed state, rho a 4x4 complex array, plus its metrics
+and diagnostics."""
 
 
 def analyze_counts(cv, label):
@@ -223,10 +206,6 @@ def _label(fname, stem):
     return _LABEL_ENDS.sub(lambda m: "".join(map(_escape, m[0])), text.translate(_LABEL_ESCAPES))
 
 
-_METRIC_NAMES = tuple(f.name for f in fields(StateMetrics))
-_metric_values = attrgetter(*_METRIC_NAMES)
-
-
 def run_tomo(files, out_dir):
     """Reconstruct every count file; failures are collected, not fatal.
 
@@ -266,8 +245,8 @@ def run_tomo(files, out_dir):
             continue
         records.append(record)
     records.sort(key=lambda r: r.label)
-    header = ["label", *_METRIC_NAMES, "optimizer_evals", "hr_consistency"]
-    rows = [[r.label, *_metric_values(r.metrics), float(r.optimizer_evals), r.hr_consistency]
+    header = ["label", *StateMetrics._fields, "optimizer_evals", "hr_consistency"]
+    rows = [[r.label, *r.metrics, float(r.optimizer_evals), r.hr_consistency]
             for r in records]
     write_table(out_dir / "summary.csv", header, [",".join(map(str, row)) for row in rows],
                 {"version": __version__, "files": len(files), "errors": len(errors)})

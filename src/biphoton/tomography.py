@@ -7,7 +7,7 @@ off-diagonals; all shipped tests use this convention.
 """
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -60,29 +60,36 @@ def expected_probabilities(rho):
     return np.einsum("nij,ji->n", PROJECTORS, rho).real
 
 
-@dataclass
-class CountVector:
+class CountVector(namedtuple("CountVector", ("counts",))):
     """Coincidence counts per projector, in CANONICAL_LABELS order, each
     finite and non-negative (a NaN fails the min/max check). total_scale, the
     expected count of a unit-probability setting, is derived: the sum over the
     computational-basis settings, whose Born probabilities sum to 1 for any
     state, added as Python floats from 0.0 in the order HH, HV, VH, VV, so a sum
     that overflows is inf and a ValidationError. It may be 0, which the
-    reconstructors reject."""
+    reconstructors reject. _make, and so _replace, runs the same checks."""
 
-    counts: np.ndarray
-    total_scale: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (16,):
-            raise ValidationError(f"expected 16 counts, got shape {self.counts.shape}")
-        if not (self.counts.min() >= 0 and self.counts.max() < np.inf):
+    def __new__(cls, counts):
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != (16,):
+            raise ValidationError(f"expected 16 counts, got shape {counts.shape}")
+        if not (counts.min() >= 0 and counts.max() < np.inf):
             raise ValidationError("counts must be finite and non-negative")
-        hh, hv, vv, vh = self.counts[:4].tolist()
-        self.total_scale = 0.0 + hh + hv + vh + vv
-        if self.total_scale == np.inf:
+        cv = tuple.__new__(cls, (counts,))
+        if cv.total_scale == np.inf:
             raise ValidationError("computational-basis count sum overflows float arithmetic")
+        return cv
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @property
+    def total_scale(self):
+        hh, hv, vv, vh = self.counts[:4].tolist()
+        return 0.0 + hh + hv + vh + vv
 
 
 def simulate_counts(rho, scale, seed):

@@ -13,11 +13,11 @@ of the detector model. None of them is used by the package itself.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from biphoton.multipair import CLASSES, RateTriple
+from biphoton.multipair import CLASSES
 
 _MC_BATCH = 1_000_000  # shots per Monte Carlo batch; each batch seeds its own stream
 
@@ -135,13 +135,10 @@ def class_prob_primed(x, alpha, eta, cls):
     return -2 * _power_minus_one(w1, x) + _power_minus_one(2 * w1 - gap, x)
 
 
-@dataclass(frozen=True)
-class MonteCarloRates(RateTriple):
-    """Empirical rates with binomial standard errors."""
-
-    se_hh: float
-    se_hv: float
-    se_hr: float
+# Empirical rates with binomial standard errors; the first three fields are
+# those of RateTriple, so the program reads it as a rate triple.
+MonteCarloRates = namedtuple("MonteCarloRates",
+                             ("r_hh", "r_hv", "r_hr", "se_hh", "se_hv", "se_hr"))
 
 
 def monte_carlo_rates(p, shots, seed):

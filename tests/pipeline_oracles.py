@@ -2,16 +2,16 @@
 which only writes them; the sweep tables as the package wrote them when
 write_table formatted every cell itself; and the files of run_tomo as the
 package wrote them with the per-label parser, the per-entry matrix formatter,
-compute_metrics' numpy calls and summary rows built through astuple."""
+compute_metrics' numpy calls and summary rows built metric by metric from
+the column names."""
 
-from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from biphoton import __version__, pipeline, states, tomography
 from biphoton.errors import ParseError, read_text
-from biphoton.multipair import effective_g, rates_primed
+from biphoton.multipair import SourceParams, effective_g, rates_primed
 from biphoton.pipeline import FIDELITY_REFERENCES, SWEEP_HEADER
 from states_oracles import compute_metrics_numpy_calls, format_density_matrix_per_entry
 from tomography_oracles import read_counts_per_label
@@ -59,7 +59,7 @@ def sweep_tables_per_cell(cfg, out_path):
     for eta in sorted(cfg.eta_list):
         for power in sorted(cfg.sweep_grid):
             mu = cfg.calibration.pairs_per_power * power
-            rates = rates_primed(replace(cfg.source, mu=mu, eta=eta))
+            rates = rates_primed(SourceParams(mu, cfg.source.alpha, eta))
             g = effective_g(rates)
             m = states.werner_metrics(g)
             rows.append([
@@ -88,10 +88,15 @@ def sweep_tables_per_cell(cfg, out_path):
                          fig1b_rows, meta)
 
 
-def summary_rows_astuple(records):
-    """run_tomo's summary rows, the metrics taken through dataclasses.astuple."""
-    return [[r.label, *astuple(r.metrics), float(r.optimizer_evals), r.hr_consistency]
-            for r in records]
+# The summary's metric columns in order, listed here rather than taken from
+# StateMetrics._fields, so that the oracle checks the column order on its own.
+METRIC_NAMES = ("fidelity", "tangle", "linear_entropy", "purity", "werner_g", "min_eigenvalue")
+
+
+def summary_rows_by_name(records):
+    """run_tomo's summary rows, each metric read by its column name."""
+    return [[r.label, *(getattr(r.metrics, name) for name in METRIC_NAMES),
+             float(r.optimizer_evals), r.hr_consistency] for r in records]
 
 
 def tomo_texts_per_entry(files):
@@ -110,10 +115,9 @@ def tomo_texts_per_entry(files):
         records.append(pipeline.AnalysisRecord(path.stem, rho, metrics, steps,
                                                float(counts[rh_index] / total_scale)))
     records.sort(key=lambda r: r.label)
-    header = ["label", *(f.name for f in fields(states.StateMetrics)),
-              "optimizer_evals", "hr_consistency"]
+    header = ["label", *METRIC_NAMES, "optimizer_evals", "hr_consistency"]
     lines = [f"# version={__version__}", f"# files={len(files)}", "# errors=0",
              ",".join(header)]
-    lines += [",".join(map(str, row)) for row in summary_rows_astuple(records)]
+    lines += [",".join(map(str, row)) for row in summary_rows_by_name(records)]
     texts["summary.csv"] = "\n".join(lines) + "\n"
     return texts

@@ -268,10 +268,26 @@ class TestRates:
         r = mp.rates_primed(SourceParams(mu=1e4, alpha=0.5, eta=1.0))
         assert (r.r_hh, r.r_hv, r.r_hr) == (1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_mu(self, mu):
-        with pytest.raises(ValueError, match="finite"):
-            SourceParams(mu=mu, alpha=0.1)
+        # the constructor, _replace and _make run the same check
+        good = SourceParams(mu=0.5, alpha=0.1)
+        for build in (lambda: SourceParams(mu=mu, alpha=0.1), lambda: good._replace(mu=mu),
+                      lambda: SourceParams._make((mu, 0.1, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", 0.0, "alpha=0.0 must be in"), ("alpha", 1.5, "alpha=1.5 must be in"),
+        ("eta", -0.1, "eta=-0.1 must be in"), ("eta", math.nan, "eta=nan must be in"),
+    ])
+    def test_rejects_out_of_range_efficiency(self, field, value, message):
+        good = SourceParams(mu=0.5, alpha=0.1, eta=0.3)
+        values = {**good._asdict(), field: value}
+        for build in (lambda: SourceParams(**values), lambda: good._replace(**{field: value}),
+                      lambda: SourceParams._make(values.values())):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     def test_truncation_stability(self):
         # the closed form has no truncation; it must match the literal series
@@ -370,6 +386,15 @@ class TestPowerCurveAndBackground:
         curve = mp.g_vs_power_curve(cal, template, np.linspace(1, 150, 25))
         gs = [g for _, g in curve]
         assert all(b >= a - 1e-12 for a, b in zip(gs, gs[1:]))
+
+    @pytest.mark.parametrize("pairs_per_power", [0.0, -0.01, math.inf, math.nan])
+    def test_calibration_rejects_bad_pairs_per_power(self, pairs_per_power):
+        good = mp.PowerCalibration(pairs_per_power=0.01)
+        for build in (lambda: mp.PowerCalibration(pairs_per_power=pairs_per_power),
+                      lambda: good._replace(pairs_per_power=pairs_per_power),
+                      lambda: mp.PowerCalibration._make((pairs_per_power, "uW"))):
+            with pytest.raises(ValueError, match="positive and finite"):
+                build()
 
     def test_background_examples(self):
         assert mp.background_g(1.0, 0.0, 10.0) == 0.0

@@ -413,7 +413,7 @@ class TestTomoBatch:
 class TestTomoOutputText:
     """run_tomo's reports and summary, byte for byte the text of the per-label
     parser, the per-entry matrix formatter, compute_metrics' numpy calls and
-    astuple rows of pipeline_oracles."""
+    by-name rows of pipeline_oracles."""
 
     def check(self, files, out_dir):
         records, errors = pipeline.run_tomo(files, out_dir)
@@ -1050,7 +1050,7 @@ class TestEndToEndConsistency:
         ))
         fits = []
         for seed in range(5):
-            cfg.seed = seed
+            cfg = cfg._replace(seed=seed)
             (path,) = pipeline.run_simulate(cfg, tmp_path / f"s{seed}")
             cv = tomography.read_counts(path)
             fits.append(states.werner_fit(tomography.mle_reconstruct(cv)[0]))

@@ -107,12 +107,18 @@ class TestCountVector:
             np.r_[np.inf, np.ones(15)],
             np.ones(15),
             np.ones((4, 4)),
+            [1.0] * 15 + [-0.5],
         ],
-        ids=["negative", "nan", "inf", "short", "matrix"],
+        ids=["negative", "nan", "inf", "short", "matrix", "negative_list"],
     )
     def test_rejects_invalid_counts(self, counts):
-        with pytest.raises(ValidationError):
-            tomography.CountVector(counts)
+        # the constructor, _replace and _make run the same checks
+        good = tomography.CountVector(np.ones(16))
+        for build in (lambda: tomography.CountVector(counts),
+                      lambda: good._replace(counts=counts),
+                      lambda: tomography.CountVector._make((counts,))):
+            with pytest.raises(ValidationError):
+                build()
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_invalid_scale(self, scale):
