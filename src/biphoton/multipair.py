@@ -46,9 +46,7 @@ The test suite (tests/multipair_oracles.py) holds the per-x forms and a
 Monte Carlo simulation of the detector model. It checks the per-x forms
 against the raw binomial and multinomial sums and against exhaustive
 enumeration of the detector model, and the rates against a literal
-Poisson-weighted series and the Monte Carlo simulation. Note the single-bracket exponent {1 - (1-alpha)**j} in the HR
-sums: collapsing it to alpha**j would contradict the small-mu asymptote
-alpha^2 (mu/4 + mu^2/4) and the Monte Carlo model.
+Poisson-weighted series and the Monte Carlo simulation.
 
 The 16 tomography settings take their rates from the same three classes.
 Each pair is Phi+, invariant under U (x) U*, so for one pair the joint

@@ -76,9 +76,9 @@ def _float_list(raw, key):
 
 
 RunConfig = namedtuple("RunConfig", ("seed", "source", "calibration", "eta_list", "sweep_grid",
-                                     "simulate_grid", "scale", "raw", "config_hash"))
-RunConfig.__doc__ = """Resolved configuration for one pipeline invocation; config_hash is
-the first 12 hex digits of the SHA-256 of raw, the merged keys, as sorted JSON."""
+                                     "simulate_grid", "scale", "config_hash"))
+RunConfig.__doc__ = """Resolved configuration for one pipeline invocation; config_hash is the
+first 12 hex digits of the SHA-256 of the merged defaults, keys and overrides as sorted JSON."""
 
 
 def build_config(keys, overrides=None):
@@ -108,7 +108,6 @@ def build_config(keys, overrides=None):
             sweep_grid=sweep_grid,
             simulate_grid=simulate_grid,
             scale=float(merged["simulate.scale"]),
-            raw=merged,
             config_hash=config_hash,
         )
     except (KeyError, ValueError) as exc:

@@ -1,5 +1,7 @@
 """16-projection polarization tomography: count simulation, linear
-inversion, and maximum-likelihood reconstruction with no variance floor.
+inversion, and maximum-likelihood reconstruction by a barrier Newton loop that
+forms the objective once per trial (_values) and its derivatives once per
+accepted point (_derivatives).
 
 Analyzer convention: R = (1, -i)/sqrt(2), L = (1, i)/sqrt(2). Flipping the
 convention only flips the sign of imaginary parts of reconstructed
@@ -37,7 +39,8 @@ ANALYZER_STATES = {
 _FIRST, _SECOND = (np.array([ANALYZER_STATES[lab[i]] for lab in CANONICAL_LABELS])
                    for i in (0, 1))
 _KETS = (_FIRST[:, :, None] * _SECOND[:, None, :]).reshape(16, 4)
-PROJECTORS = _KETS[:, :, None] * _KETS.conj()[:, None, :]
+_BRAS = _KETS.conj()
+PROJECTORS = _KETS[:, :, None] * _BRAS[:, None, :]
 
 # rho = I/4 + sum_k x_k B_k, B_k = sigma_i (x) sigma_j / 2 for (i, j) != (0, 0) with
 # Tr(B_k B_l) = delta_kl (one broadcast product), has p = 1/4 + A x, A[nu, k] = Tr(P_nu B_k);
@@ -61,18 +64,19 @@ def expected_probabilities(rho):
 
 
 class CountVector(namedtuple("CountVector", ("counts",))):
-    """Coincidence counts per projector, in CANONICAL_LABELS order, each
-    finite and non-negative (a NaN fails the min/max check). total_scale, the
+    """Coincidence counts per projector, in CANONICAL_LABELS order, each finite and
+    non-negative (a NaN fails the min/max check), in a read-only copy. total_scale, the
     expected count of a unit-probability setting, is derived: the sum over the
-    computational-basis settings, whose Born probabilities sum to 1 for any
-    state, added as Python floats from 0.0 in the order HH, HV, VH, VV, so a sum
-    that overflows is inf and a ValidationError. It may be 0, which the
-    reconstructors reject. _make, and so _replace, runs the same checks."""
+    computational-basis settings, whose Born probabilities sum to 1 for any state, added
+    as Python floats from 0.0 in the order HH, HV, VH, VV, so a sum that overflows is inf
+    and a ValidationError. It may be 0, which the reconstructors reject. _make, and so
+    _replace, runs the same checks."""
 
     __slots__ = ()
 
     def __new__(cls, counts):
-        counts = np.asarray(counts, dtype=float)
+        counts = np.array(counts, dtype=float)
+        counts.flags.writeable = False
         if counts.shape != (16,):
             raise ValidationError(f"expected 16 counts, got shape {counts.shape}")
         if not (counts.min() >= 0 and counts.max() < np.inf):
@@ -129,25 +133,20 @@ _REL_TOL = 1e-10
 _ROUND_TOL = 256 * np.finfo(float).eps ** 2
 
 
-def _likelihood(w, v, r):
-    """f, its gradient A^T f'(p) and Hessian A^T diag(r^2 / p^3) A at rho's eigenpairs (w, v)."""
-    p = np.abs(_KETS.conj() @ v) ** 2 @ w
-    d1 = (1 - r**2 / p**2) / 2
-    return _objective(w, v, r), d1 @ _DESIGN, (_DESIGN.T * (r**2 / p**3)) @ _DESIGN
+def _values(w, v, r):
+    """p, f and -log det rho at rho's eigenpairs (w, v). p_nu = sum_i w_i |<ab|v_i>|^2 sums
+    non-negative terms, so p > 0 wherever w > 0, however 1/4 + A x would round."""
+    p = np.abs(_BRAS @ v) ** 2 @ w
+    return p, float(((p - r) ** 2 / (2 * p)).sum()), -float(np.sum(np.log(w)))
 
 
-def _objective(w, v, r):
-    """f alone, for the line search's accept test and _likelihood. p_nu = sum_i w_i |<ab|v_i>|^2
-    sums non-negative terms, so p > 0 wherever w > 0, however 1/4 + A x would round."""
-    p = np.abs(_KETS.conj() @ v) ** 2 @ w
-    return float(((p - r) ** 2 / (2 * p)).sum())
-
-
-def _neg_log_det(w, v):
-    """-log det rho, its gradient -Tr(rho^-1 B_k) and Hessian Tr(rho^-1 B_k rho^-1 B_l)
-    from rho's eigenpairs (w, v), through C_k = rho^-1/2 B_k rho^-1/2 in that eigenbasis."""
+def _derivatives(w, v, p, r):
+    """The gradients A^T f'(p) and -Tr(rho^-1 B_k), and the Hessians A^T diag(r^2 / p^3) A and
+    Tr(rho^-1 B_k rho^-1 B_l), of f and -log det rho at rho's eigenpairs (w, v) with _values' p;
+    the barrier's through C_k = rho^-1/2 B_k rho^-1/2 in that eigenbasis."""
     c = (v.conj().T @ _BASIS @ v / np.sqrt(np.outer(w, w))).reshape(15, 16)
-    return -float(np.sum(np.log(w))), -c[:, ::5].sum(axis=1).real, (c @ c.conj().T).real
+    return ((1 - r**2 / p**2) / 2 @ _DESIGN, (_DESIGN.T * (r**2 / p**3)) @ _DESIGN,
+            -c[:, ::5].sum(axis=1).real, (c @ c.conj().T).real)
 
 
 def _gap(x, grad):
@@ -162,7 +161,7 @@ def mle_reconstruct(cv):
     r = n / N, N being its total_scale.
 
     Per unit N, f = sum_nu (p_nu - r_nu)^2 / 2 p_nu is non-negative (p_nu being
-    the Born probabilities, with no floor) and 0 exactly at p = r. The linear
+    the Born probabilities) and 0 exactly at p = r. The linear
     estimate fits all 16 frequencies (16 settings for 15 parameters and the
     normalization), so f = 0 there: a linear estimate with lambda_min >= 1e-9 is
     the optimum, returned as it is after one pass, in any count unit. Otherwise
@@ -172,7 +171,11 @@ def mle_reconstruct(cv):
     4 mu, a bound on f - f* at a centered iterate (f is convex on the whole
     positive-definite cone, where every p_nu > 0), is at most max(tau, 1e-10 f),
     with tau = max(1e-10 min(1, 1 / N), 256 eps^2): for 1 <= N <= 1e19, the rule
-    on the counts' N f divided by N.
+    on the counts' N f divided by N. _values forms p, f and -log det rho once per
+    positive-definite trial, for the accept test, and _derivatives their gradients
+    and Hessians once per accepted trial. On near-pure states at N >= 1e12 the
+    rounding of f can exceed every trial's predicted decrease: mu then falls on
+    its schedule to the stop, and that 4 mu bounds nothing.
     Returns (rho, steps), steps being the Newton steps taken (1 for the linear
     estimate). Raises ConvergenceError with the last state and its gap per unit N
     if the Newton-step budget runs out, and ValidationError if the fit overflows
@@ -195,14 +198,11 @@ def mle_reconstruct(cv):
 
 
 def _barrier_fit(x, r, tol):
-    """The barrier Newton loop of mle_reconstruct on r from the positive-definite rho(x).
-    Each trial's eigenpairs are computed once: the accept test's positivity and f, and
-    the next step's likelihood and barrier terms, read the same ones (so p > 0 in f).
-    The likelihood and barrier terms are formed once per x, when x moves."""
+    """The barrier Newton loop of mle_reconstruct on r from the positive-definite rho(x)."""
     w, v = np.linalg.eigh(_rho(x))
-    f, grad, hess = _likelihood(w, v, r)
+    p, f, barrier = _values(w, v, r)
+    grad, hess, dbarrier, d2barrier = _derivatives(w, v, p, r)
     mu = max(_gap(x, grad), tol, _REL_TOL * f) / 4
-    barrier, dbarrier, d2barrier = _neg_log_det(w, v)
     for steps in range(1, _MAX_STEPS + 1):
         g = grad + mu * dbarrier
         dx = np.linalg.solve(hess + mu * d2barrier, -g)
@@ -213,12 +213,12 @@ def _barrier_fit(x, r, tol):
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
             w_trial, v_trial = np.linalg.eigh(_rho(trial))
-            if w_trial[0] > 0 and (_objective(w_trial, v_trial, r) - mu * np.sum(np.log(w_trial))
-                                   <= f + mu * barrier - t * mu * lam2 / 4):
-                x = trial
-                f, grad, hess = _likelihood(w_trial, v_trial, r)
-                barrier, dbarrier, d2barrier = _neg_log_det(w_trial, v_trial)
-                break
+            if w_trial[0] > 0:
+                p, f_trial, barrier_trial = _values(w_trial, v_trial, r)
+                if f_trial + mu * barrier_trial <= f + mu * barrier - t * mu * lam2 / 4:
+                    x, f, barrier = trial, f_trial, barrier_trial
+                    grad, hess, dbarrier, d2barrier = _derivatives(w_trial, v_trial, p, r)
+                    break
             t /= 2
         else:  # centered, or stalled in rounding
             if 4 * mu <= max(tol, _REL_TOL * f):

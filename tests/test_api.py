@@ -36,7 +36,7 @@ def value_instances():
         "StateMetrics": (metrics, ("fidelity", "tangle", "linear_entropy", "purity", "werner_g",
                                    "min_eigenvalue")),
         "RunConfig": (pipeline.build_config({}), ("seed", "source", "calibration", "eta_list",
-                                                 "sweep_grid", "simulate_grid", "scale", "raw",
+                                                 "sweep_grid", "simulate_grid", "scale",
                                                  "config_hash")),
         "AnalysisRecord": (pipeline.AnalysisRecord("x", np.eye(4) / 4, metrics, 1, 0.25),
                            ("label", "rho", "metrics", "optimizer_evals", "hr_consistency")),

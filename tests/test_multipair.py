@@ -36,6 +36,8 @@ def g_sum(x, a):
 
 
 def h_sum(x, a):
+    # the single-bracket exponent {1 - (1-a)**j}: collapsing it to a**j would
+    # contradict the small-mu asymptote a^2 (mu/4 + mu^2/4) and the Monte Carlo model
     s = sum(comb(x, j) / 2**x * (1 - (1 - a) ** j) for j in range(x + 1))
     return s * s
 

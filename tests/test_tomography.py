@@ -143,6 +143,18 @@ class TestCountVector:
         with pytest.raises(ValidationError, match="overflows"):
             tomography.CountVector(counts)
 
+    def test_counts_are_a_read_only_copy(self):
+        # a write into the caller's array or into cv.counts would make total_scale
+        # nan and the linear estimate all NaN, with no error
+        counts = np.ones(16)
+        cv = tomography.CountVector(counts)
+        counts[0] = -5
+        with pytest.raises(ValueError, match="read-only"):
+            cv.counts[1] = np.nan
+        assert np.array_equal(cv.counts, np.ones(16))
+        assert cv.total_scale == 4.0
+        assert np.isfinite(tomography.linear_reconstruct(cv)).all()
+
     def test_scale_is_derived(self):
         # a zero sum is constructible; the reconstructors reject it
         assert tomography.CountVector(np.zeros(16)).total_scale == 0.0
@@ -359,14 +371,18 @@ def central_difference(fn, x, h):
     return np.array([(fn(x + h * e) - fn(x - h * e)) / (2 * h) for e in np.eye(len(x))])
 
 
+def terms_at(x, r):
+    """(f, its gradient, its Hessian) and (-log det rho, its gradient, its Hessian) at
+    rho(x), from rho(x)'s eigenpairs through tomography._values and _derivatives."""
+    w, v = np.linalg.eigh(tomography._rho(x))
+    p, f, barrier = tomography._values(w, v, r)
+    grad, hess, dbarrier, d2barrier = tomography._derivatives(w, v, p, r)
+    return (f, grad, hess), (barrier, dbarrier, d2barrier)
+
+
 def likelihood_at(x, r):
-    """tomography._likelihood at rho(x), from rho(x)'s eigenpairs."""
-    return tomography._likelihood(*np.linalg.eigh(tomography._rho(x)), r)
-
-
-def objective_at(x, r):
-    """tomography._objective at rho(x), from rho(x)'s eigenpairs."""
-    return tomography._objective(*np.linalg.eigh(tomography._rho(x)), r)
+    """f, its gradient and its Hessian at rho(x)."""
+    return terms_at(x, r)[0]
 
 
 class TestLikelihoodGradient:
@@ -408,39 +424,24 @@ class TestLikelihoodGradient:
         r = frequencies(tomography.CountVector(BOUNDARY_FILES[2]))  # CI's bell.txt
 
         def f(s):
-            return objective_at(coordinates((1 - s) * states.ideal_bell()
-                                            + s * states.totally_mixed()), r)
+            return likelihood_at(coordinates((1 - s) * states.ideal_bell()
+                                             + s * states.totally_mixed()), r)[0]
 
         s, ds = 4e-9, 4e-10
         assert f(s - ds) - 2 * f(s) + f(s + ds) >= -1e-16
 
     def test_probabilities_are_positive_where_the_coordinates_round_to_zero(self):
         # rho = diag(w) in its exact eigenbasis: 1/4 + A x rounds the three small
-        # probabilities to <= 0, the eigenpairs keep them. With r = e_nu,
-        # f - f(r = 0) = 1 / (2 p_nu) - 1, which reads each p_nu out of _objective.
+        # probabilities to <= 0, the eigenpairs keep them in the p that _values forms.
         w = np.array([1e-20, 3e-19, 2e-18, 1 - 2.3e-18])
         v = np.eye(4, dtype=complex)
         x = coordinates(np.diag(w).astype(complex))
         assert np.sum(0.25 + tomography._DESIGN @ x <= 0) >= 3
         literal = np.array([sum(wi * abs(np.vdot(ket, vi)) ** 2 for wi, vi in zip(w, v.T))
                             for ket in tomography._KETS])
-        f0 = tomography._objective(w, v, np.zeros(16))
-        p = np.array([1 / (2 * (tomography._objective(w, v, e) - f0 + 1)) for e in np.eye(16)])
+        p = tomography._values(w, v, np.zeros(16))[0]
         assert np.all(p > 0)
         assert np.max(np.abs(p / literal - 1)) <= 1e-12
-
-    def test_objective_is_the_likelihood_value(self):
-        # bitwise: the accept tests compare it with f from _likelihood. Points
-        # inside the PSD cone, on its boundary (Bell, with model counts at 0),
-        # just inside it (model counts below 1e-9 of N) and outside it
-        rng = np.random.default_rng(9)
-        near_bell = (1 - 4e-10) * states.ideal_bell() + 4e-10 * states.totally_mixed()
-        points = [coordinates(random_state(rng, k)) for k in (1, 2, 4) for _ in range(10)]
-        points += [coordinates(states.ideal_bell()), coordinates(near_bell), 3 * points[0]]
-        for cv in (tomography.simulate_counts(states.werner(0.05), 1e4, seed=3),
-                   tomography.simulate_counts(states.ideal_bell(), 1e5, seed=0)):
-            for x in points:
-                assert objective_at(x, frequencies(cv)) == likelihood_at(x, frequencies(cv))[0]
 
     def test_gap_matches_certificate(self):
         # the fit's gap, from the coordinates' gradient, against the bound
@@ -455,10 +456,12 @@ class TestLikelihoodGradient:
                 to.certificate(rho, cv.counts, cv.total_scale), rel=1e-9)
 
     def test_barrier_random_points(self):
-        def neg_log_det(y):
-            return tomography._neg_log_det(*np.linalg.eigh(tomography._rho(y)))
-
         rng = np.random.default_rng(6)
+        r = frequencies(tomography.simulate_counts(states.werner(0.05), 1e4, seed=2))
+
+        def neg_log_det(y):
+            return terms_at(y, r)[1]
+
         for _ in range(5):
             rho = random_state(rng)
             x = coordinates(rho)
@@ -588,18 +591,26 @@ class TestBarrierOncePerIterate:
             assert np.array_equal(rho, rho_ref)
 
     def test_no_repeated_likelihood_call(self, monkeypatch):
-        likelihood = tomography._likelihood
+        # _derivatives runs once per accepted x, _values once per positive-definite
+        # trial, and neither twice in a row at the same point
+        values, derivatives = tomography._values, tomography._derivatives
         for cv in self.cases():
-            rhos = []
+            calls = {"values": [], "derivatives": []}
 
-            def recording(w, v, r):
-                rhos.append((v * w) @ v.conj().T)
-                return likelihood(w, v, r)
+            def recording_values(w, v, r):
+                calls["values"].append((v * w) @ v.conj().T)
+                return values(w, v, r)
 
-            monkeypatch.setattr(tomography, "_likelihood", recording)
+            def recording_derivatives(w, v, p, r):
+                calls["derivatives"].append((v * w) @ v.conj().T)
+                return derivatives(w, v, p, r)
+
+            monkeypatch.setattr(tomography, "_values", recording_values)
+            monkeypatch.setattr(tomography, "_derivatives", recording_derivatives)
             _, steps = tomography.mle_reconstruct(cv)
-            assert len(rhos) <= steps
-            assert not any(np.array_equal(a, b) for a, b in zip(rhos, rhos[1:]))
+            assert len(calls["derivatives"]) <= steps
+            for rhos in calls.values():
+                assert not any(np.array_equal(a, b) for a, b in zip(rhos, rhos[1:]))
 
 
 def saddle_case():

@@ -308,17 +308,18 @@ def projected_gradient_fit(cv):
 
 
 def barrier_fit_reference(x, r, tol):
-    """tomography._barrier_fit as it was when each step began by evaluating
-    _likelihood and _neg_log_det at x's eigenpairs, whether or not the last
-    step moved x (the first step repeats the call before the loop, and the step
-    after each centering repeats the one before it). Returns (rho, steps)."""
+    """tomography._barrier_fit, except that each step begins by evaluating
+    _values and _derivatives at x's eigenpairs, whether or not the last step
+    moved x (the first step repeats the call before the loop, and the step
+    after each centering repeats the one before it), and the accept test takes
+    -log det rho from its own sum. Returns (rho, steps)."""
     t_ = tomography
     w, v = np.linalg.eigh(t_._rho(x))
-    f, grad, _ = t_._likelihood(w, v, r)
-    mu = max(t_._gap(x, grad), tol, t_._REL_TOL * f) / 4
+    p, f, _ = t_._values(w, v, r)
+    mu = max(t_._gap(x, t_._derivatives(w, v, p, r)[0]), tol, t_._REL_TOL * f) / 4
     for steps in range(1, t_._MAX_STEPS + 1):
-        f, grad, hess = t_._likelihood(w, v, r)
-        barrier, dbarrier, d2barrier = t_._neg_log_det(w, v)
+        p, f, barrier = t_._values(w, v, r)
+        grad, hess, dbarrier, d2barrier = t_._derivatives(w, v, p, r)
         g = grad + mu * dbarrier
         dx = np.linalg.solve(hess + mu * d2barrier, -g)
         lam2 = -(g @ dx) / mu
@@ -326,7 +327,7 @@ def barrier_fit_reference(x, r, tol):
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
             w_trial, v_trial = np.linalg.eigh(t_._rho(trial))
-            if w_trial[0] > 0 and (t_._objective(w_trial, v_trial, r)
+            if w_trial[0] > 0 and (t_._values(w_trial, v_trial, r)[1]
                                    - mu * np.sum(np.log(w_trial))
                                    <= f + mu * barrier - t * mu * lam2 / 4):
                 x, w, v = trial, w_trial, v_trial
