@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the text-file reader
-that turns undecodable input into one of them."""
+"""Exception types shared across the package, and the text reading that
+every parser shares: read_text, and data_lines for the comment rule."""
 
 
 class BiphotonError(Exception):
@@ -50,3 +50,9 @@ def read_text(path):
                          f"{exc.encoding!r}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def data_lines(text):
+    """(lineno from 1, stripped line) of each line neither blank nor a '#' comment."""
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return ((lineno, line) for lineno, line in lines if line and not line.startswith("#"))

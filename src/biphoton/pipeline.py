@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     ParseError,
+    data_lines,
     read_text,
 )
 from .multipair import (
@@ -54,10 +55,7 @@ DEFAULTS = {
 def parse_config_file(path):
     """Read a flat key=value config file into a dict of strings."""
     out = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_text(path)):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key=value'")
         key, value = line.split("=", 1)

@@ -8,7 +8,7 @@ the numpy-free multipair module and re-exported here.
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, data_lines
 from .multipair import StateMetrics, _check_mixing, werner_metrics  # noqa: F401
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
@@ -197,10 +197,7 @@ def _parse_entry(token, lineno):
 def parse_density_matrix(text):
     """Parse the 4x4 plain-text matrix format; '#' lines are comments."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         tokens = line.split()
         if len(tokens) != 4:
             raise ParseError(f"line {lineno}: expected 4 entries per row, got {len(tokens)}")

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateInputError,
     ParseError,
     ValidationError,
+    data_lines,
     read_text,
 )
 from .multipair import CANONICAL_LABELS, _poisson_counts
@@ -241,10 +242,7 @@ def read_counts(path):
     """Parse a 16-row count file into a CountVector, each row straight into
     its canonical slot."""
     counts = [None] * 16
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_text(path)):
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'label,count'")

@@ -18,6 +18,7 @@ import pytest
 
 import biphoton
 from biphoton import pipeline
+from test_readme import readme_config
 
 # the public constants, which carry no __module__ of their own
 CONSTANT_HOMES = {"BASIS_LABELS": "biphoton.states", "CANONICAL_LABELS": "biphoton.multipair"}
@@ -46,17 +47,6 @@ def test_each_name_is_declared_once():
 # The modules that `biphoton sweep` and `biphoton simulate` load; "__init__" is the
 # package itself.
 NUMPY_FREE = ("__init__", "cli", "errors", "multipair", "pipeline")
-
-README_CONFIG = """seed=0
-source.alpha=0.005
-source.eta=1.0
-calibration.pairs_per_power=0.01
-simulate.scale=1e6
-simulate.power_grid=1,10,50,100
-sweep.eta_list=0.001,0.03,0.20,1.00
-sweep.power_grid=1,5,10,50,100,200
-"""
-
 
 def module_level_imports(module):
     """The modules a package file imports when it is loaded: every import
@@ -105,7 +95,7 @@ HEAVY = {"numpy", "dataclasses", "inspect"}
 
 
 def test_import_and_sweep_load_no_numpy(tmp_path):
-    (tmp_path / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(readme_config(), encoding="utf-8")
     out = run_python(
         "import sys\n"
         "import biphoton\n"
@@ -119,7 +109,7 @@ def test_import_and_sweep_load_no_numpy(tmp_path):
 
 
 def test_simulate_loads_no_numpy(tmp_path):
-    (tmp_path / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(readme_config(), encoding="utf-8")
     out = run_python(
         "import sys\n"
         "from biphoton import cli\n"

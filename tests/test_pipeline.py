@@ -27,6 +27,7 @@ from biphoton.multipair import (
     setting_probabilities,
 )
 from pipeline_oracles import read_table, sweep_tables_per_cell, tomo_texts_per_entry
+from test_readme import readme_config
 from test_tomography import BOUNDARY_FILES
 
 
@@ -41,6 +42,12 @@ def write_config(path, extra=""):
         "simulate.scale=1e6\n" + extra,
         encoding="utf-8",
     )
+    return path
+
+
+def readme_config_file(path):
+    """The config of README's CLI block, written to path."""
+    path.write_text(readme_config(), encoding="utf-8")
     return path
 
 
@@ -423,9 +430,7 @@ class TestTomoOutputText:
         return records
 
     def test_readme_count_files(self, tmp_path):
-        cfg = pipeline.load_config(
-            write_config(tmp_path / "run.cfg", "simulate.power_grid=1,10,50,100\n")
-        )
+        cfg = pipeline.load_config(readme_config_file(tmp_path / "run.cfg"))
         records = self.check(pipeline.run_simulate(cfg, tmp_path / "counts"), tmp_path / "out")
         assert len(records) == 4
 
@@ -533,6 +538,15 @@ def assert_sweep_tables_match_per_cell(cfg, directory):
         assert (directory / "new" / name).read_bytes() == (directory / "old" / name).read_bytes()
 
 
+def assert_companions_repeat_the_main_cells(directory):
+    """The _fig2 model rows and the _fig1b rows carry sweep.csv's cells as text."""
+    _, main = read_table(directory / "sweep.csv")
+    _, fig2 = read_table(directory / "sweep_fig2.csv")
+    _, fig1b = read_table(directory / "sweep_fig1b.csv")
+    assert [r[1:] for r in fig2 if r[0] == "model"] == [[r[7], r[9], r[8]] for r in main]
+    assert fig1b == [[r[0], r[2], r[10], "1.0", "0.5", "0.25"] for r in main]
+
+
 def grid_config(path, etas, powers, extra=""):
     return pipeline.load_config(write_config(
         path, f"sweep.eta_list={','.join(etas)}\nsweep.power_grid={','.join(powers)}\n" + extra
@@ -544,11 +558,11 @@ class TestSweepTableText:
     table's text; the per-cell oracle of pipeline_oracles stays the judge."""
 
     def test_readme_grid(self, tmp_path):
-        cfg = grid_config(tmp_path / "run.cfg", ["0.001", "0.03", "0.20", "1.00"],
-                          ["1", "5", "10", "50", "100", "200"])
+        cfg = pipeline.load_config(readme_config_file(tmp_path / "run.cfg"))
         assert_sweep_tables_match_per_cell(cfg, tmp_path)
         _, raw = read_table(tmp_path / "new" / "sweep.csv")
         assert raw[0][:4] == ["1.0", "0.01", "0.001", "0.005"]
+        assert_companions_repeat_the_main_cells(tmp_path / "new")
 
     def test_high_power_grid(self, tmp_path):
         # 8 etas and 40 powers drawn as the sweep-high-power benchmark draws them
@@ -563,11 +577,7 @@ class TestSweepTableText:
     def test_companions_repeat_the_main_cells(self, tmp_path):
         cfg = grid_config(tmp_path / "run.cfg", ["0", "0.5", "1"], ["1e-3", "7", "1e4"])
         pipeline.run_sweep(cfg, tmp_path / "sweep.csv")
-        _, main = read_table(tmp_path / "sweep.csv")
-        _, fig2 = read_table(tmp_path / "sweep_fig2.csv")
-        _, fig1b = read_table(tmp_path / "sweep_fig1b.csv")
-        assert [r[1:] for r in fig2 if r[0] == "model"] == [[r[7], r[9], r[8]] for r in main]
-        assert fig1b == [[r[0], r[2], r[10], "1.0", "0.5", "0.25"] for r in main]
+        assert_companions_repeat_the_main_cells(tmp_path)
 
     @given(
         etas=st.lists(st.one_of(st.sampled_from(["0", "1", "0.5"]),

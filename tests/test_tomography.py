@@ -445,15 +445,18 @@ class TestLikelihoodGradient:
 
     def test_gap_matches_certificate(self):
         # the fit's gap, from the coordinates' gradient, against the bound
-        # computed from G = sum_nu df/dp_nu P_nu over the Hermitian matrices
+        # computed from G = sum_nu df/dp_nu P_nu over the Hermitian matrices;
+        # last the near-Bell point, where a floored G reads 156.07 against 81.37
         rng = np.random.default_rng(8)
         cv = tomography.simulate_counts(states.werner(0.05), 1e4, seed=2)
-        for _ in range(5):
-            rho = random_state(rng)
+        bell = tomography.simulate_counts(states.ideal_bell(), 1e5, seed=0)
+        near_bell = (1 - 4e-10) * states.ideal_bell() + 4e-10 * states.totally_mixed()
+        cases = [(random_state(rng), cv) for _ in range(5)] + [(near_bell, bell)]
+        for rho, counts in cases:
             x = coordinates(rho)
-            gap = tomography._gap(x, likelihood_at(x, frequencies(cv))[1])
-            assert cv.total_scale * gap == pytest.approx(
-                to.certificate(rho, cv.counts, cv.total_scale), rel=1e-9)
+            gap = tomography._gap(x, likelihood_at(x, frequencies(counts))[1])
+            assert counts.total_scale * gap == pytest.approx(
+                to.certificate(rho, counts.counts, counts.total_scale), rel=1e-9)
 
     def test_barrier_random_points(self):
         rng = np.random.default_rng(6)
@@ -543,7 +546,8 @@ def test_boundary_fit_is_the_same_in_any_count_unit(counts, factor):
 
 # Poisson counts of the pure states |HV> and |RL> at N = 1e17, on whose barrier fits
 # 1/4 + A x rounds a positive-definite trial's smallest probabilities to <= 0: with
-# the variance floor deleted from that form of p, each fit raised ValidationError
+# the variance floor deleted from that form of p, each fit raised ValidationError;
+# then |HH> at N = 1e9
 NEAR_PURE_FILES = [
     [0, 100000000039241456, 0, 0, 0, 49999999837793080, 50000000248144656, 0,
      24999999814155148, 25000000202636616, 25000000115029636, 50000000057796408,
@@ -552,14 +556,27 @@ NEAR_PURE_FILES = [
      50000000089498992, 50000000086670256, 25000000010238904, 25000000124517244,
      0, 24999999511968676, 49999999982963992, 25000000213631972,
      25000000274473484, 50000000212693104, 50000000436403920, 99999999513828320],
+    [1000036351, 0, 0, 0, 499993962, 0, 0, 500005279,
+     250000206, 250012314, 249988041, 500034300, 0, 0, 500012044, 249976150],
 ]
 
 
-@pytest.mark.parametrize("counts", NEAR_PURE_FILES, ids=["HV", "RL"])
+@pytest.mark.parametrize("counts", NEAR_PURE_FILES, ids=["HV", "RL", "HH"])
 def test_near_pure_state_at_large_n_fits(counts):
     rho, steps = tomography.mle_reconstruct(tomography.CountVector(counts))
     assert steps > 1
     states.validate(rho)
+
+
+@pytest.mark.parametrize("counts, factor",
+                         [(NEAR_PURE_FILES[2], 1e12), (BOUNDARY_FILES[2], 1e-12)],
+                         ids=["HH-x1e12", "bell-x1e-12"])
+def test_werner_g_is_the_same_in_another_count_unit(counts, factor):
+    # the fit sees the counts only as n / N: a barrier fit in another unit ends
+    # on the same werner_g
+    rho, _ = tomography.mle_reconstruct(tomography.CountVector(counts))
+    scaled, _ = tomography.mle_reconstruct(tomography.CountVector(np.multiply(counts, factor)))
+    assert states.werner_fit(scaled) == pytest.approx(states.werner_fit(rho), abs=1e-8)
 
 
 def boundary_inputs():

@@ -5,7 +5,9 @@ density matrices and share no code with its barrier Newton fit. `objective`
 keeps a variance floor at 1e-9 of the count scale, which the package has
 dropped: the Cholesky fits visit singular rho, where a model count may be 0.
 The two agree wherever every Born probability exceeds 1e-9, which holds at
-every point the tests compare:
+every point where the tests compare objective values. `certificate` takes
+the floorless gradient, so it matches the package's gap also where a
+probability lies below 1e-9. The three fits:
 
 - `lbfgs_fit`, the old path: one L-BFGS-B run with the analytic gradient
   over the 16 real parameters of a lower-triangular Cholesky factor T,
@@ -168,8 +170,11 @@ def objective_gradient(rho, raw_counts, scale):
 
 def certificate(rho, raw_counts, scale):
     """Tr(G rho) - lambda_min(G), an upper bound on f(rho) - f* for the
-    convex objective over the density matrices."""
-    _, g = objective_gradient(rho, raw_counts, scale)
+    convex objective over the density matrices. G is the gradient of the
+    floorless objective, the package's, so rho must be positive definite."""
+    model = scale * tomography.expected_probabilities(rho)
+    dfdp = scale * (1 - (raw_counts / model) ** 2) / 2
+    g = np.einsum("n,nij->ij", dfdp, tomography.PROJECTORS)
     return float(np.trace(g @ rho).real - np.linalg.eigvalsh(g)[0])
 
 
