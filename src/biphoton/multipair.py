@@ -61,8 +61,8 @@ simulate from the setting probabilities, tomography.simulate_counts from the
 Born probabilities of any state.
 
 The scalar state summary, StateMetrics, and its closed form for Werner
-states, werner_metrics, live here too, so the sweep runs on floats alone;
-states re-exports both.
+states, werner_metrics, live here too; states re-exports both. The sweep
+takes a point's Werner cells as plain floats from their helper, _werner_floats.
 """
 
 import math
@@ -142,8 +142,8 @@ def effective_g(rates):
     g = 2 R_HV / (R_HH + R_HV).
     """
     denom = rates.r_hh + rates.r_hv
-    if denom <= 0:
-        raise DegenerateInputError("zero coincidence rates: g is undefined")
+    if not 0 < denom < math.inf:
+        raise DegenerateInputError(f"R_HH + R_HV = {denom!r}: g is undefined")
     return float(min(1.0, max(0.0, 2 * rates.r_hv / denom)))
 
 
@@ -171,8 +171,8 @@ def setting_probabilities(rates):
     Werner state at effective_g(rates); the ten HR entries tend to the Werner
     value 1/4 as mu -> 0 and leave it with multi-pair emission."""
     denom = 2 * (rates.r_hh + rates.r_hv)
-    if denom <= 0:
-        raise DegenerateInputError("zero coincidence rates: setting probabilities are undefined")
+    if not 0 < denom < math.inf:
+        raise DegenerateInputError(f"R_HH + R_HV = {denom / 2!r}: no setting probabilities")
     by_class = {"HH": rates.r_hh / denom, "HV": rates.r_hv / denom, "HR": rates.r_hr / denom}
     return [by_class[c] for c in SETTING_CLASSES]
 
@@ -240,20 +240,18 @@ def _check_mixing(g):
         raise ValueError(f"mixing parameter g={g} outside [0, 1]")
 
 
+def _werner_floats(g):
+    """(fidelity, tangle, linear_entropy) of werner(g) for g in [0, 1]:
+    1 - 3g/4, max(0, 1 - 3g/2)**2 (Wootters, PRL 80, 2245 (1998)) and g(2 - g)."""
+    return 1 - 0.75 * g, max(0.0, 1 - 1.5 * g) ** 2, g * (2 - g)
+
+
 def werner_metrics(g):
-    """compute_metrics(werner(g)) in closed form: fidelity 1 - 3g/4, tangle
-    max(0, 1 - 3g/2)**2 (Wootters, PRL 80, 2245 (1998)), linear entropy
-    g(2 - g), purity 1 - 3g(2 - g)/4 and smallest eigenvalue g/4."""
+    """compute_metrics(werner(g)) in closed form: _werner_floats' fidelity,
+    tangle and linear entropy, purity 1 - 3g(2 - g)/4 and smallest eigenvalue g/4."""
     _check_mixing(g)
-    mixedness = g * (2 - g)
-    return StateMetrics(
-        fidelity=1 - 0.75 * g,
-        tangle=max(0.0, 1 - 1.5 * g) ** 2,
-        linear_entropy=mixedness,
-        purity=1 - 0.75 * mixedness,
-        werner_g=g,
-        min_eigenvalue=g / 4,
-    )
+    fidelity, tangle, mixedness = _werner_floats(g)
+    return StateMetrics(fidelity, tangle, mixedness, 1 - 0.75 * mixedness, g, g / 4)
 
 
 def g_vs_power_curve(cal, p_template, powers):

@@ -36,10 +36,10 @@ from .multipair import (
     SourceParams,
     StateMetrics,
     _poisson_counts,
+    _werner_floats,
     effective_g,
     rates_primed,
     setting_probabilities,
-    werner_metrics,
 )
 
 DEFAULTS = {
@@ -309,6 +309,9 @@ def run_sweep(cfg, out_path):
     separable-limit and totally-mixed reference values). One pass over the
     grid builds each point's line of all three tables once, each number
     formatted once as its repr: the companions repeat the main line's cells.
+    Each point calls rates_primed(SourceParams(...)) through this module's
+    global, as the benchmark's tracer wraps pipeline.rates_primed and reads
+    .alpha and .eta from its argument; the rest of a point is plain floats.
     Returns the main table's rows as numbers.
     """
     if not cfg.eta_list or not cfg.sweep_grid:
@@ -321,23 +324,22 @@ def run_sweep(cfg, out_path):
     powers = [(power, mu, repr(power), repr(mu)) for power, mu in powers]
     fig2_lines = []
     for g in [i * 0.005 for i in range(201)]:
-        m = werner_metrics(g)
-        fig2_lines.append(f"curve,{g!r},{m.linear_entropy!r},{m.tangle!r}")
+        _, tangle, entropy = _werner_floats(g)
+        fig2_lines.append(f"curve,{g!r},{entropy!r},{tangle!r}")
     rows, lines, fig1b_lines = [], [], []
     for eta in sorted(map(float, cfg.eta_list)):
         eta_text = repr(eta)
         for power, mu, power_text, mu_text in powers:
             rates = rates_primed(SourceParams(mu, alpha, eta))
             g = effective_g(rates)
-            m = werner_metrics(g)
-            # rates_primed, effective_g and werner_metrics return Python floats
-            rows.append([power, mu, eta, alpha, rates.r_hh, rates.r_hv, rates.r_hr,
-                         g, m.tangle, m.linear_entropy, m.fidelity])
-            g_text, tangle_text, entropy_text, fidelity_text = map(
-                repr, (g, m.tangle, m.linear_entropy, m.fidelity))
-            lines.append(f"{power_text},{mu_text},{eta_text},{alpha_text},{rates.r_hh!r},"
-                         f"{rates.r_hv!r},{rates.r_hr!r},{g_text},{tangle_text},"
-                         f"{entropy_text},{fidelity_text}")
+            fidelity, tangle, entropy = _werner_floats(g)
+            r_hh, r_hv, r_hr = rates
+            # rates_primed, effective_g and _werner_floats return Python floats
+            rows.append([power, mu, eta, alpha, r_hh, r_hv, r_hr, g, tangle, entropy, fidelity])
+            g_text, tangle_text, entropy_text, fidelity_text = (
+                f"{g!r}", f"{tangle!r}", f"{entropy!r}", f"{fidelity!r}")
+            lines.append(f"{power_text},{mu_text},{eta_text},{alpha_text},{r_hh!r},{r_hv!r},"
+                         f"{r_hr!r},{g_text},{tangle_text},{entropy_text},{fidelity_text}")
             fig2_lines.append(f"model,{g_text},{entropy_text},{tangle_text}")
             fig1b_lines.append(f"{power_text},{eta_text},{fidelity_text},{references}")
     out_path = Path(out_path)

@@ -1,6 +1,7 @@
 """Test-side reader of the pipeline's tables, kept out of the package,
 which only writes them; the sweep tables as the package wrote them when
-write_table formatted every cell itself; and the files of run_tomo as the
+write_table formatted every cell itself, with Werner cells from the literal
+closed forms of states_oracles; and the files of run_tomo as the
 package wrote them with the per-label parser, the per-entry matrix formatter,
 compute_metrics' numpy calls and summary rows built metric by metric from
 the column names."""
@@ -9,11 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from biphoton import __version__, pipeline, states, tomography
+from biphoton import __version__, pipeline, tomography
 from biphoton.errors import ParseError, read_text
 from biphoton.multipair import SourceParams, effective_g, rates_primed
 from biphoton.pipeline import FIDELITY_REFERENCES, SWEEP_HEADER
-from states_oracles import compute_metrics_numpy_calls, format_density_matrix_per_entry
+from states_oracles import (
+    compute_metrics_numpy_calls,
+    format_density_matrix_per_entry,
+    werner_metrics_literal,
+)
 from tomography_oracles import read_counts_per_label
 
 
@@ -61,11 +66,11 @@ def sweep_tables_per_cell(cfg, out_path):
             mu = cfg.calibration.pairs_per_power * power
             rates = rates_primed(SourceParams(mu, cfg.source.alpha, eta))
             g = effective_g(rates)
-            m = states.werner_metrics(g)
+            m = werner_metrics_literal(g)
             rows.append([
                 float(power), float(mu), float(eta), cfg.source.alpha,
                 rates.r_hh, rates.r_hv, rates.r_hr,
-                g, m.tangle, m.linear_entropy, m.fidelity,
+                g, m["tangle"], m["linear_entropy"], m["fidelity"],
             ])
     out_path = Path(out_path)
     meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
@@ -73,8 +78,8 @@ def sweep_tables_per_cell(cfg, out_path):
 
     fig2_rows = []
     for g in np.linspace(0.0, 1.0, 201).tolist():
-        m = states.werner_metrics(g)
-        fig2_rows.append(["curve", g, m.linear_entropy, m.tangle])
+        m = werner_metrics_literal(g)
+        fig2_rows.append(["curve", g, m["linear_entropy"], m["tangle"]])
     for row in rows:
         fig2_rows.append(["model", row[7], row[9], row[8]])
     write_table_per_cell(out_path.with_name(out_path.stem + "_fig2" + out_path.suffix),

@@ -16,6 +16,10 @@
 - `format_density_matrix_per_entry`: the matrix text formatted entry by
   entry with f-strings, before one % format over the 32 parts; the text
   must agree byte for byte.
+- `werner_metrics_literal`: the six closed forms of werner_metrics written
+  out here, with the package's operations in the package's order, so that
+  the values must agree bit for bit; the sweep's byte oracle takes its
+  Werner cells from it, not from the package's helper.
 
 None is used by the package itself.
 """
@@ -44,6 +48,17 @@ def werner_fit_projection(rho):
     num = float(np.trace(direction.conj().T @ diff).real)
     den = float(np.trace(direction.conj().T @ direction).real)
     return float(np.clip(num / den, 0.0, 1.0))
+
+
+def werner_metrics_literal(g):
+    return {
+        "fidelity": 1 - 0.75 * g,
+        "tangle": max(0.0, 1 - 1.5 * g) ** 2,
+        "linear_entropy": g * (2 - g),
+        "purity": 1 - 0.75 * (g * (2 - g)),
+        "werner_g": g,
+        "min_eigenvalue": g / 4,
+    }
 
 
 def compute_metrics_composed(rho):

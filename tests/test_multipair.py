@@ -334,6 +334,11 @@ class TestMonteCarlo:
         assert abs(mc.r_hr - an.r_hr) < 3 * mc.se_hr
 
 
+# class rates whose R_HH + R_HV is NaN or infinite
+NON_FINITE_RATES = [(math.nan, math.nan, math.nan), (1.0, math.inf, 1.0), (math.inf, 0.0, 0.5),
+                    (math.nan, 1.0, 1.0), (1e308, 1e308, 0.0)]
+
+
 class TestEffectiveG:
     def test_werner_law_small_alpha(self):
         for mu in (0.01, 0.1, 0.5, 1.0, 2.0):
@@ -346,6 +351,12 @@ class TestEffectiveG:
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
             mp.effective_g(mp.RateTriple(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("rates", NON_FINITE_RATES)
+    def test_non_finite(self, rates):
+        # R_HH + R_HV outside (0, inf) once gave g = 0.0
+        with pytest.raises(DegenerateInputError, match="g is undefined"):
+            mp.effective_g(mp.RateTriple(*rates))
 
 
 class TestProjectionProbabilities16:
@@ -476,3 +487,9 @@ class TestSettingProbabilities:
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
             mp.setting_probabilities(mp.RateTriple(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("rates", NON_FINITE_RATES)
+    def test_non_finite(self, rates):
+        # R_HH + R_HV outside (0, inf) once gave 16 NaNs
+        with pytest.raises(DegenerateInputError, match="no setting probabilities"):
+            mp.setting_probabilities(mp.RateTriple(*rates))

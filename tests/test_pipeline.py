@@ -594,6 +594,26 @@ class TestSweepTableText:
         assert_sweep_tables_match_per_cell(cfg, directory)
 
 
+class TestSweepRowsAndText:
+    """run_sweep's returned rows are exactly the numbers its sweep.csv holds."""
+
+    def assert_rows_are_the_text(self, cfg, directory):
+        rows = pipeline.run_sweep(cfg, directory / "sweep.csv")
+        _, raw = read_table(directory / "sweep.csv")
+        assert [[float(cell) for cell in line] for line in raw] == rows
+
+    def test_readme_grid(self, tmp_path):
+        cfg = pipeline.load_config(readme_config_file(tmp_path / "run.cfg"))
+        self.assert_rows_are_the_text(cfg, tmp_path)
+
+    def test_high_power_grid(self, tmp_path):
+        # the grid of TestSweepTableText.test_high_power_grid
+        rng = np.random.default_rng([11, 1_000_003])
+        etas = [repr(float(e)) for e in 10 ** rng.uniform(-3, 0, 8)]
+        powers = [repr(float(p)) for p in 10 ** rng.uniform(0, 3, 40)]
+        self.assert_rows_are_the_text(grid_config(tmp_path / "run.cfg", etas, powers), tmp_path)
+
+
 def counting(log, fn):
     """fn, with each call's arguments appended to log first."""
     def wrapper(*args, **kwargs):

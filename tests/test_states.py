@@ -229,6 +229,23 @@ class TestWernerMetrics:
         with pytest.raises(ValueError):
             states.werner_metrics(g)
 
+    @staticmethod
+    def assert_bits_are_the_literals(g):
+        """Each field equals the oracle's literal closed form bit for bit."""
+        got = states.werner_metrics(g)._asdict()
+        want = so.werner_metrics_literal(g)
+        assert list(got) == list(want)
+        for field, value in got.items():
+            assert type(value) is float and value.hex() == want[field].hex(), field
+
+    @pytest.mark.parametrize("g", [0.0, 1.0, 2 / 3, *np.nextafter(2 / 3, [0.0, 1.0]).tolist()])
+    def test_literal_closed_forms(self, g):
+        self.assert_bits_are_the_literals(g)
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_literal_closed_forms_on_the_domain(self, g):
+        self.assert_bits_are_the_literals(g)
+
 
 class TestComputeMetrics:
     """One validation inside compute_metrics against the public functions
