@@ -12,8 +12,6 @@ Only tomo and metrics need numpy: their functions import states and
 tomography when they run, so a sweep or a simulate run never loads it.
 """
 
-import hashlib
-import json
 import math
 import os
 import re
@@ -29,6 +27,7 @@ from .errors import (
     ParseError,
     data_lines,
     read_text,
+    write_text,
 )
 from .multipair import (
     CANONICAL_LABELS,
@@ -81,6 +80,10 @@ first 12 hex digits of the SHA-256 of the merged defaults, keys and overrides as
 
 def build_config(keys, overrides=None):
     """Merge defaults, config keys and CLI overrides into a RunConfig."""
+    # the config hash is their one use, so a tomo or metrics run loads neither
+    import hashlib
+    import json
+
     merged = dict(DEFAULTS)
     merged.update(keys)
     if overrides:
@@ -135,8 +138,7 @@ def write_table(path, header, lines, meta):
     as its repr, which round-trips exactly."""
     head = [f"# {k}={v}" for k, v in meta.items()]
     head.append(",".join(header))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(head + lines) + "\n")
+    write_text(path, "\n".join(head + lines) + "\n")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -168,13 +170,9 @@ def write_report(record, path):
     from . import states
 
     # metrics ride along as a comment so the file re-parses as a matrix
-    text = (
-        f"# state report for {record.label}\n"
-        + states.format_density_matrix(record.rho)
-        + f"# {format_metrics(record.metrics)}\n"
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, f"# state report for {record.label}\n"
+               + states.format_density_matrix(record.rho)
+               + f"# {format_metrics(record.metrics)}\n")
 
 
 def _escape(char):
@@ -203,6 +201,17 @@ def _label(fname, stem):
     return _LABEL_ENDS.sub(lambda m: "".join(map(_escape, m[0])), text.translate(_LABEL_ESCAPES))
 
 
+def _stem(fname):
+    """Path(fname).stem without a Path: the name after the last separator (pathlib's
+    own where fname ends in a separator or '.', parts pathlib drops), less its last
+    '.' and what follows if that '.' neither begins nor ends the name."""
+    name = os.path.basename(fname)
+    if name in ("", os.curdir):
+        name = Path(fname).name
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
 def run_tomo(files, out_dir):
     """Reconstruct every count file; failures are collected, not fatal.
 
@@ -223,12 +232,12 @@ def run_tomo(files, out_dir):
     """
     from . import tomography
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = os.fspath(out_dir) or os.curdir  # Path("") is the current directory
+    os.makedirs(out_dir, exist_ok=True)
     records, errors = [], []
     first = {}
     for fname in files:
-        stem = Path(fname).stem
+        stem = _stem(os.fspath(fname))
         try:
             label = _label(fname, stem)
             if label in first:
@@ -245,7 +254,8 @@ def run_tomo(files, out_dir):
     header = ["label", *StateMetrics._fields, "optimizer_evals", "hr_consistency"]
     rows = [[r.label, *r.metrics, float(r.optimizer_evals), r.hr_consistency]
             for r in records]
-    write_table(out_dir / "summary.csv", header, [",".join(map(str, row)) for row in rows],
+    write_table(os.path.join(out_dir, "summary.csv"), header,
+                [",".join(map(str, row)) for row in rows],
                 {"version": __version__, "files": len(files), "errors": len(errors)})
     return records, errors
 
@@ -255,8 +265,7 @@ def write_counts(counts, path, comments=("label,count",)):
     rows in canonical order with exact (repr) values."""
     lines = [f"# {c}" for c in comments]
     lines += [f"{lab},{float(n)!r}" for lab, n in zip(CANONICAL_LABELS, counts, strict=True)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def run_simulate(cfg, out_dir):

@@ -198,6 +198,20 @@ def mle_reconstruct(cv):
         raise ValidationError(f"counts out of proportion to their HH+HV+VH+VV sum ({exc})") from exc
 
 
+def _newton_step(h, g, mu):
+    """The Newton step dx = -h^-1 g of F / mu and its squared Newton decrement -g dx / mu.
+    h is positive definite, so lam2 <= 0 is rounding in the solve: then h is first scaled
+    to unit diagonal, h_ij s_i s_j with s = diag(h)^-1/2, and dx = s y with y solving the
+    scaled system against -s g."""
+    dx = np.linalg.solve(h, -g)
+    lam2 = -(g @ dx) / mu
+    if lam2 <= 0:
+        s = 1 / np.sqrt(np.diag(h))
+        dx = s * np.linalg.solve(h * np.outer(s, s), -s * g)
+        lam2 = -(g @ dx) / mu
+    return dx, lam2
+
+
 def _barrier_fit(x, r, tol):
     """The barrier Newton loop of mle_reconstruct on r from the positive-definite rho(x)."""
     w, v = np.linalg.eigh(_rho(x))
@@ -206,8 +220,7 @@ def _barrier_fit(x, r, tol):
     mu = max(_gap(x, grad), tol, _REL_TOL * f) / 4
     for steps in range(1, _MAX_STEPS + 1):
         g = grad + mu * dbarrier
-        dx = np.linalg.solve(hess + mu * d2barrier, -g)
-        lam2 = -(g @ dx) / mu  # squared Newton decrement of F / mu
+        dx, lam2 = _newton_step(hess + mu * d2barrier, g, mu)
         # Backtrack while not centered. F / mu is self-concordant, so in exact arithmetic
         # a t >= 1 / (2 (1 + lam)) passes (ibid., sec. 9.6.4); if none does, rounding ends it.
         t = 1.0

@@ -120,6 +120,27 @@ def test_simulate_loads_no_numpy(tmp_path):
     assert out.splitlines() == [*(f"counts/counts_{i:03d}.txt" for i in range(4)), "0", "[]"]
 
 
+# Modules only the config hash needs: importing the CLI, and a tomo or a metrics
+# run, load neither.
+CONFIG_HASH = {"hashlib", "json"}
+
+
+def test_cli_import_and_tomo_load_no_hashlib(tmp_path):
+    pipeline.write_counts([2, 1, 2, 1] + [1.5] * 12, tmp_path / "w.txt")
+    out = run_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from biphoton import cli\n"
+        f"print(sorted(({HEAVY | CONFIG_HASH!r}) & (sys.modules.keys() - before)))\n"
+        "print(cli.main(['tomo', 'w.txt', '--out', 'out']))\n"
+        "print(cli.main(['metrics', 'out/w_report.txt']))\n"
+        f"print(sorted({CONFIG_HASH!r} & (sys.modules.keys() - before)))\n",
+        tmp_path,
+    )
+    lines = out.splitlines()
+    assert (lines[0], lines[2], lines[4:]) == ("[]", "0", ["0", "[]"])
+
+
 def test_every_name_resolves_in_a_fresh_interpreter(tmp_path):
     out = run_python(
         "import importlib, types\n"

@@ -568,6 +568,26 @@ def test_near_pure_state_at_large_n_fits(counts):
     states.validate(rho)
 
 
+# Poisson counts of the product state |DV> at N = 1e15 (simulate_counts seed 40): the
+# solve for one Newton step rounded its squared decrement to <= 0, which the loop took
+# for a centered point, and the fit ended at N f = 16.27 after 65 steps; the diagonally
+# scaled solve finds the decrease, and the fit ends at N f = 12.01
+DV_FILE = [0, 500000030068994, 499999985527016, 0, 0, 499999990200416, 1000000046858451, 0,
+           500000007648027, 500000006670187, 250000000575360, 250000021852170,
+           250000021200164, 249999991470954, 249999986694454, 249999982381202]
+
+
+def test_rounded_newton_decrement_is_not_centered(tmp_path):
+    path = tmp_path / "dv.txt"
+    pipeline.write_counts(DV_FILE, path)
+    cv = tomography.read_counts(path)
+    rho, _ = tomography.mle_reconstruct(cv)
+    states.validate(rho)
+    w, v = np.linalg.eigh(rho)
+    p, r = np.abs(tomography._BRAS @ v) ** 2 @ w, frequencies(cv)
+    assert cv.total_scale * np.sum((p - r) ** 2 / (2 * p)) <= 12.1
+
+
 @pytest.mark.parametrize("counts, factor",
                          [(NEAR_PURE_FILES[2], 1e12), (BOUNDARY_FILES[2], 1e-12)],
                          ids=["HH-x1e12", "bell-x1e-12"])

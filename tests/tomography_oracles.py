@@ -326,8 +326,7 @@ def barrier_fit_reference(x, r, tol):
         p, f, barrier = t_._values(w, v, r)
         grad, hess, dbarrier, d2barrier = t_._derivatives(w, v, p, r)
         g = grad + mu * dbarrier
-        dx = np.linalg.solve(hess + mu * d2barrier, -g)
-        lam2 = -(g @ dx) / mu
+        dx, lam2 = t_._newton_step(hess + mu * d2barrier, g, mu)
         t = 1.0
         while lam2 > 1e-2 and t >= 0.5 / (1 + np.sqrt(lam2)):
             trial = x + t * dx
