@@ -2,6 +2,8 @@
 reader and writer shares: read_text and write_text, the only places the package
 opens a file, and data_lines for the line ends and the comment rule."""
 
+import codecs
+
 
 class BiphotonError(Exception):
     """Base class for all package-specific errors."""
@@ -40,18 +42,23 @@ class ConvergenceError(BiphotonError):
 
 
 def read_text(path):
-    """Contents of a UTF-8 file, its bytes read in one call and decoded as utf-8-sig,
-    so less a leading byte-order mark; line ends stay as they are, for data_lines to
-    split. Bytes that do not decode, a file of only part of a byte-order mark among
-    them, and a name that the filesystem encoding cannot encode are a ParseError."""
+    """Contents of a UTF-8 file, its bytes read in one call and decoded less a leading
+    byte-order mark; line ends stay as they are, for data_lines to split. Bytes that
+    do not decode, a file of only part of a byte-order mark among them, are a
+    ParseError giving the offset in the file of the first, and so is a name that the
+    filesystem encoding cannot encode."""
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("utf-8-sig")
+            data = fh.read()
     except UnicodeEncodeError as exc:
         raise ParseError(f"{path}: name cannot be encoded in the filesystem encoding "
                          f"{exc.encoding!r}") from exc
+    body = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        return body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        offset = len(data) - len(body) + exc.start
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {offset})") from exc
 
 
 def write_text(path, text):

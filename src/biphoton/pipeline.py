@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     ParseError,
+    ValidationError,
     data_lines,
     read_text,
     write_text,
@@ -150,22 +151,6 @@ AnalysisRecord.__doc__ = """One reconstructed state, rho a 4x4 complex array, pl
 and diagnostics."""
 
 
-def analyze_counts(cv, label):
-    from . import states, tomography
-
-    # RH is the linear-circular consistency setting: 0.25 for Werner states
-    rh = CANONICAL_LABELS.index("RH")
-    rho, steps = tomography.mle_reconstruct(cv)
-    metrics = states.compute_metrics(rho)
-    return AnalysisRecord(
-        label=label,
-        rho=rho,
-        metrics=metrics,
-        optimizer_evals=steps,
-        hr_consistency=float(cv.counts[rh] / cv.total_scale),
-    )
-
-
 def write_report(record, path):
     from . import states
 
@@ -215,28 +200,32 @@ def _stem(fname):
 def run_tomo(files, out_dir):
     """Reconstruct every count file; failures are collected, not fatal.
 
-    Returns (records sorted by label, list of (filename, exception) errors).
-    A ConvergenceError entry carries the optimizer's best state, and a
-    report that cannot be written fails its file only. Reports are named
-    by file stem, so a file whose stem an earlier one already took is a
-    ParseError, and so is a name the filesystem encoding cannot encode. A
-    record's label is the stem as text, with each byte the filesystem
-    encoding cannot decode written as an escape such as \\xff, and so are a
-    backslash (\\x5c), a comma and each line break (\\x2c, \\x0a, \\u0085,
-    \\u2028, ...), a leading '#' (\\x23) and each whitespace character at
-    either end (\\x20, \\x09, \\u3000, ...); a character is escaped as \\xNN
-    only below U+0080, so never as a byte is. So a name that spells an
-    escape keeps a label of its own, and a label is one cell of the summary
-    that no reader takes for a comment or strips, and one line of the report
-    and stdout.
+    Returns (records sorted by label, list of (filename, exception) errors
+    in the order of files). Each file is read and fitted in turn, then the
+    metrics of all the fits come from one stacked compute_metrics call, then
+    the reports are written. A ConvergenceError entry carries the
+    optimizer's best state, and a state that fails validation or a report
+    that cannot be written fails its file only. Reports are named by file
+    stem, so a file whose stem an earlier one already took is a ParseError,
+    and so is a name the filesystem encoding cannot encode. A record's label
+    is the stem as text, with each byte the filesystem encoding cannot
+    decode written as an escape such as \\xff, and so are a backslash
+    (\\x5c), a comma and each line break (\\x2c, \\x0a, \\u0085, \\u2028,
+    ...), a leading '#' (\\x23) and each whitespace character at either end
+    (\\x20, \\x09, \\u3000, ...); a character is escaped as \\xNN only below
+    U+0080, so never as a byte is. So a name that spells an escape keeps a
+    label of its own, and a label is one cell of the summary that no reader
+    takes for a comment or strips, and one line of the report and stdout.
     """
-    from . import tomography
+    from . import states, tomography
 
     out_dir = os.fspath(out_dir) or os.curdir  # Path("") is the current directory
     os.makedirs(out_dir, exist_ok=True)
-    records, errors = [], []
-    first = {}
-    for fname in files:
+    # RH is the linear-circular consistency setting: 0.25 for Werner states
+    rh = CANONICAL_LABELS.index("RH")
+    failed = {}  # file position -> (file name, exception), for errors in file order
+    fits, first = [], {}
+    for position, fname in enumerate(files):
         stem = _stem(os.fspath(fname))
         try:
             label = _label(fname, stem)
@@ -244,12 +233,27 @@ def run_tomo(files, out_dir):
                 raise ParseError(f"{fname}: stem {label!r} repeats that of {first[label]}")
             first[label] = fname
             cv = tomography.read_counts(fname)
-            record = analyze_counts(cv, label)
-            write_report(record, os.path.join(out_dir, stem + "_report.txt"))
+            rho, steps = tomography.mle_reconstruct(cv)
         except (BiphotonError, OSError) as exc:
-            errors.append((str(fname), exc))
+            failed[position] = (str(fname), exc)
+            continue
+        fits.append((position, fname, stem, label, rho, steps,
+                     float(cv.counts[rh] / cv.total_scale)))
+    # one stacked call; a state that fails validation fails its own file only
+    entries = states.compute_metrics([fit[4] for fit in fits]) if fits else []
+    records = []
+    for (position, fname, stem, label, rho, steps, hr), metrics in zip(fits, entries):
+        if isinstance(metrics, ValidationError):
+            failed[position] = (str(fname), metrics)
+            continue
+        record = AnalysisRecord(label, rho, metrics, steps, hr)
+        try:
+            write_report(record, os.path.join(out_dir, stem + "_report.txt"))
+        except OSError as exc:
+            failed[position] = (str(fname), exc)
             continue
         records.append(record)
+    errors = [failed[position] for position in sorted(failed)]
     records.sort(key=lambda r: r.label)
     header = ["label", *StateMetrics._fields, "optimizer_evals", "hr_consistency"]
     rows = [[r.label, *r.metrics, float(r.optimizer_evals), r.hr_consistency]

@@ -47,6 +47,26 @@ def werner(g):
     return (1 - g) * ideal_bell() + g * totally_mixed()
 
 
+def _stack(rho):
+    """rho as a complex array, and that array as an (n, 4, 4) stack, a 4x4 state
+    as its one row; ValueError for any other shape."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 array or a stack of them, got shape {rho.shape}")
+    return rho, rho.reshape(-1, 4, 4)
+
+
+def _unstack(rho, entries):
+    """The n entries of a stack's rows; for a 4x4 state its one entry, raised if it
+    is a ValidationError."""
+    if rho.ndim == 3:
+        return entries
+    (entry,) = entries
+    if isinstance(entry, ValidationError):
+        raise entry
+    return entry
+
+
 def validate(rho):
     """The one physicality check: rho must be finite, Hermitian and
     unit-trace to 1e-12, with no eigenvalue below -1e-10.
@@ -54,48 +74,72 @@ def validate(rho):
     Returns the smallest eigenvalue of rho's Hermitian part. Raises
     ValidationError for a non-finite entry, or naming the violated
     invariants (hermiticity, trace, positivity, in that order), and
-    ValueError if rho is not 4x4.
+    ValueError if rho is neither 4x4 nor an (n, 4, 4) stack. A stack is
+    checked with one eigvalsh call and gives n entries: each row's smallest
+    eigenvalue, or the ValidationError validate raises for that row alone.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected 4x4 array, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValidationError("invalid density matrix: non-finite entries")
-    adjoint = rho.conj().T
-    herm = float(np.abs(rho - adjoint).max())
-    trace = float(abs(rho.trace() - 1))
-    min_eig = float(np.linalg.eigvalsh((rho + adjoint) / 2)[0])
-    failures = [name for name, bad in (("hermiticity", herm > HERMITICITY_TOL),
-                                       ("trace", trace > TRACE_TOL),
-                                       ("positivity", min_eig < -PSD_TOL)) if bad]
-    if failures:
-        raise ValidationError(
+    rho, stack = _stack(rho)
+    finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
+    # a non-finite row would fail eigvalsh for the whole stack
+    rows = stack if all(finite) else stack[finite]
+    adjoint = rows.conj().swapaxes(1, 2)
+    checks = zip(np.abs(rows - adjoint).max(axis=(1, 2)).tolist(),
+                 np.abs(rows.trace(axis1=1, axis2=2) - 1).tolist(),
+                 np.linalg.eigvalsh((rows + adjoint) / 2)[:, 0].tolist())
+    entries = []
+    for ok in finite:
+        if not ok:
+            entries.append(ValidationError("invalid density matrix: non-finite entries"))
+            continue
+        herm, trace, min_eig = next(checks)
+        failures = [name for name, bad in (("hermiticity", herm > HERMITICITY_TOL),
+                                           ("trace", trace > TRACE_TOL),
+                                           ("positivity", min_eig < -PSD_TOL)) if bad]
+        entries.append(ValidationError(
             f"invalid density matrix: {', '.join(failures)} "
             f"(herm={herm:.3g}, trace_dev={trace:.3g}, min_eig={min_eig:.3g})"
-        )
-    return min_eig
+        ) if failures else min_eig)
+    return _unstack(rho, entries)
 
 
-def _overlap(rho, psi):
-    val = psi.conj() @ np.asarray(rho, dtype=complex) @ psi
+def _overlaps(stack, bra, ket):
+    """<psi|rho|psi> of each row of a stack, as complex, from psi* as a row (bra)
+    and psi as a column (ket): row times matrix, then times column, which gives
+    the bits of psi* @ rho @ psi."""
+    return ((bra @ stack) @ ket)[:, 0, 0].tolist()
+
+
+def _real_overlap(val):
     if abs(val.imag) >= 1e-12:
         raise ValidationError(f"overlap <psi|rho|psi> has imaginary part {val.imag:.3g}")
-    return float(val.real)
+    return val.real
+
+
+_BELL_BRA, _BELL_KET = _BELL.conj()[None, :], _BELL[:, None]
 
 
 def fidelity(rho, psi):
-    """Overlap <psi|rho|psi> of a state with a pure target, in [0, 1]."""
+    """Overlap <psi|rho|psi> of a 4x4 state with a pure target, in [0, 1]."""
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1) > 1e-12:
         raise ValidationError("target state is not unit-norm")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected 4x4 array, got shape {rho.shape}")
     validate(rho)
-    return _overlap(rho, psi)
+    (val,) = _overlaps(rho[None], psi.conj()[None, :], psi[:, None])
+    return _real_overlap(val)
+
+
+def _purities(stack):
+    return (stack @ stack).trace(axis1=1, axis2=2).real.tolist()
 
 
 def purity(rho):
-    """Tr(rho^2), in [1/4, 1] for a valid two-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    return float((rho @ rho).trace().real)
+    """Tr(rho^2), in [1/4, 1] for a valid two-qubit state; a list of n for an
+    (n, 4, 4) stack."""
+    rho, stack = _stack(rho)
+    return _unstack(rho, _purities(stack))
 
 
 def linear_entropy(rho):
@@ -103,9 +147,11 @@ def linear_entropy(rho):
     return (4.0 / 3.0) * (1.0 - purity(rho))
 
 
-def _sqrtm_psd(rho):
-    w, v = np.linalg.eigh(rho)
-    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+def _concurrences(stack):
+    w, v = np.linalg.eigh(stack)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False).tolist()
+    return [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam]
 
 
 def concurrence(rho):
@@ -116,17 +162,26 @@ def concurrence(rho):
     A = sqrt(rho) (sy x sy) sqrt(rho)*, since A A^dag is the Hermitian form
     sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho). Singular values carry an
     absolute error of about eps, where square roots of round-off
-    eigenvalues would carry sqrt(eps).
+    eigenvalues would carry sqrt(eps). A 4x4 state gives a float; an
+    (n, 4, 4) stack gives a list of n, from one eigh and one svd call.
     """
-    root = _sqrtm_psd(np.asarray(rho, dtype=complex))
-    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False).tolist()
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    rho, stack = _stack(rho)
+    return _unstack(rho, _concurrences(stack))
 
 
 def tangle(rho):
-    """Square of the concurrence."""
-    c = concurrence(rho)
-    return c * c
+    """Square of the concurrence: a float for a 4x4 state, a list of n for an
+    (n, 4, 4) stack."""
+    rho, stack = _stack(rho)
+    return _unstack(rho, [c * c for c in _concurrences(stack)])
+
+
+def _werner_gs(stack):
+    d = (stack - _IDEAL).real
+    # Tr D as numpy sums it; D00 + D03 + D30 + D33 from left to right
+    return [min(max((trace - 2 * (d00 + d03 + d30 + d33)) / 3, 0.0), 1.0)
+            for trace, ((d00, d03), (d30, d33))
+            in zip(d.trace(axis1=1, axis2=2).tolist(), d[:, ::3, ::3].tolist())]
 
 
 def werner_fit(rho):
@@ -137,10 +192,10 @@ def werner_fit(rho):
     Tr((I/4 - P)(rho - P)) / Tr((I/4 - P)^2) for the ideal projector P,
     which is (Tr D - 2 (D00 + D03 + D30 + D33)) / 3 for D = Re(rho - P),
     clamped to [0, 1]. Forming rho - P first keeps g exactly 0 at rho = P.
+    An (n, 4, 4) stack gives a list of n.
     """
-    d = (np.asarray(rho, dtype=complex) - _IDEAL).real
-    g = float(d.trace() - 2 * (d[0, 0] + d[0, 3] + d[3, 0] + d[3, 3])) / 3
-    return min(max(g, 0.0), 1.0)
+    rho, stack = _stack(rho)
+    return _unstack(rho, _werner_gs(stack))
 
 
 def compute_metrics(rho):
@@ -148,17 +203,31 @@ def compute_metrics(rho):
     the smallest eigenvalue of the one physicality check it passes.
 
     Raises ValidationError, as validate does, if rho is not a density matrix.
+    An (n, 4, 4) stack takes one call of each numpy routine and gives n
+    entries: each row's StateMetrics, or the ValidationError compute_metrics
+    raises for that row alone. validate and tangle are called through this
+    module's globals, once per call, with the stack.
     """
-    min_eig = validate(rho)
-    pur = purity(rho)
-    return StateMetrics(
-        fidelity=_overlap(rho, _BELL),
-        tangle=tangle(rho),
-        linear_entropy=(4.0 / 3.0) * (1.0 - pur),
-        purity=pur,
-        werner_g=werner_fit(rho),
-        min_eigenvalue=min_eig,
-    )
+    rho, stack = _stack(rho)
+    entries = validate(stack)
+    rows = [i for i, entry in enumerate(entries) if not isinstance(entry, ValidationError)]
+    good = stack if len(rows) == len(stack) else stack[rows]
+    for i, pur, overlap, tan, g in zip(rows, _purities(good), _overlaps(good, _BELL_BRA, _BELL_KET),
+                                       tangle(good), _werner_gs(good)):
+        try:
+            fid = _real_overlap(overlap)
+        except ValidationError as exc:
+            entries[i] = exc
+            continue
+        entries[i] = StateMetrics(
+            fidelity=fid,
+            tangle=tan,
+            linear_entropy=(4.0 / 3.0) * (1.0 - pur),
+            purity=pur,
+            werner_g=g,
+            min_eigenvalue=entries[i],
+        )
+    return _unstack(rho, entries)
 
 
 # --- plain-text serialization -------------------------------------------------

@@ -104,9 +104,10 @@ def summary_rows_by_name(records):
              float(r.optimizer_evals), r.hr_consistency] for r in records]
 
 
-def tomo_texts_per_entry(files):
+def tomo_texts_per_entry(files, failed=0):
     """{file name: text} of the files run_tomo writes for count files whose
-    stems are distinct and need no escape, none of which fails."""
+    stems are distinct and need no escape, none of which fails; the batch
+    held `failed` more files, each of which failed."""
     texts, records = {}, []
     rh_index = tomography.CANONICAL_LABELS.index("RH")
     for path in map(Path, files):
@@ -121,7 +122,7 @@ def tomo_texts_per_entry(files):
                                                float(counts[rh_index] / total_scale)))
     records.sort(key=lambda r: r.label)
     header = ["label", *METRIC_NAMES, "optimizer_evals", "hr_consistency"]
-    lines = [f"# version={__version__}", f"# files={len(files)}", "# errors=0",
+    lines = [f"# version={__version__}", f"# files={len(files) + failed}", f"# errors={failed}",
              ",".join(header)]
     lines += [",".join(map(str, row)) for row in summary_rows_by_name(records)]
     texts["summary.csv"] = "\n".join(lines) + "\n"

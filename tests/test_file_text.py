@@ -17,7 +17,9 @@ from biphoton.errors import ParseError, data_lines, read_text, write_text
 
 
 def read_text_mode(path):
-    """read_text as it read through a text-mode open, universal newlines on."""
+    """read_text as it read through a text-mode open, universal newlines on, with a
+    decode error's offset moved past a byte-order mark, which text mode counted from."""
+    bom = len(codecs.BOM_UTF8) if Path(path).read_bytes().startswith(codecs.BOM_UTF8) else 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
@@ -25,7 +27,8 @@ def read_text_mode(path):
         raise ParseError(f"{path}: name cannot be encoded in the filesystem encoding "
                          f"{exc.encoding!r}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {bom + exc.start})"
+                         ) from exc
 
 
 def lines_or_error(read, path):
@@ -79,6 +82,20 @@ class TestReadText:
         assert read_text_mode(path) == ""
         with pytest.raises(ParseError, match=re.escape(
                 f"{path}: not UTF-8 text (unexpected end of data at byte 0)")):
+            read_text(path)
+
+    @pytest.mark.parametrize("data, offset, reason", [
+        (b"ab\xff", 2, "invalid start byte"),
+        (codecs.BOM_UTF8 + b"ab\xff", 5, "invalid start byte"),
+        (codecs.BOM_UTF8 + b"\xc3", 3, "unexpected end of data"),
+        (codecs.BOM_UTF8 + codecs.BOM_UTF8 + b"\x80", 6, "invalid start byte"),
+    ], ids=["plain", "bom", "bom-truncated", "two-boms"])
+    def test_decode_error_gives_the_file_offset(self, tmp_path, data, offset, reason):
+        # the offset counts a leading byte-order mark, as a hex dump of the file does
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: not UTF-8 text ({reason} at byte {offset})")):
             read_text(path)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])

@@ -218,6 +218,65 @@ class TestTomoBatch:
         assert "broken.txt" in errors[0][0]
         assert (tmp_path / "out" / "summary.csv").exists()
 
+    def test_failures_of_every_phase_keep_file_order(self, tmp_path, capsys):
+        # an unreadable file, a parse error, a validation error from the fit and
+        # an unwritable report, with good files in between: the errors and stderr
+        # follow the files, and the good files' outputs are those of the oracle
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        lopsided = np.ones(16)
+        lopsided[tomography.CANONICAL_LABELS.index("RH")] = 1e300
+        files, good = [], []
+        for name, counts in (("g0", probs * 1e6), ("blocked", probs * 1e6), ("g1", probs * 1e5),
+                             ("missing", None), ("g2", probs * 1e4), ("broken", None),
+                             ("lopsided", lopsided), ("g3", probs * 1e3)):
+            files.append(tmp_path / f"{name}.txt")
+            if counts is not None:
+                pipeline.write_counts(counts, files[-1])
+                if name.startswith("g"):
+                    good.append(files[-1])
+        files[5].write_text("HH,not-a-number\n", encoding="utf-8")
+        (tmp_path / "out" / "blocked_report.txt").mkdir(parents=True)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert [r.label for r in records] == ["g0", "g1", "g2", "g3"]
+        # the report's error comes last in time, first in file order
+        assert [(fname, type(exc)) for fname, exc in errors] == [
+            (str(files[1]), IsADirectoryError), (str(files[3]), FileNotFoundError),
+            (str(files[5]), ParseError), (str(files[6]), ValidationError)]
+        written = {p.name: p.read_text(encoding="utf-8")
+                   for p in (tmp_path / "out").iterdir() if p.is_file()}
+        assert written == tomo_texts_per_entry(good, failed=4)
+
+        assert cli.main(["tomo", *map(str, files), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"I/O error: {files[1]}: Is a directory",
+            f"I/O error: {files[3]}: No such file or directory",
+            f"parse error: {files[5]}:1: bad count 'not-a-number'",
+            f"validation error: {files[6]}: counts out of proportion to their HH+HV+VH+VV "
+            "sum (overflow encountered in square)",
+        ]
+
+    def test_a_state_the_metrics_reject_fails_its_file_only(self, tmp_path, monkeypatch):
+        # one stacked metrics call; the fit of b is made to leave the unit trace
+        probs = tomography.expected_probabilities(states.werner(0.3))
+        files = [tmp_path / f"{name}.txt" for name in "abc"]
+        for path in files:
+            pipeline.write_counts(probs * 1e6, path)
+        fit, fits = tomography.mle_reconstruct, []
+
+        def off_trace_for_b(cv):
+            rho, steps = fit(cv)
+            fits.append(rho)
+            return (0.9 * rho if len(fits) == 2 else rho), steps
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", off_trace_for_b)
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert [r.label for r in records] == ["a", "c"]
+        ((fname, exc),) = errors
+        assert fname == str(files[1]) and isinstance(exc, ValidationError)
+        assert str(exc).startswith("invalid density matrix: trace (")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "a_report.txt", "c_report.txt", "summary.csv"]
+
     def test_noiseless_ideal_metrics(self, tmp_path):
         probs = tomography.expected_probabilities(states.ideal_bell())
         path = tmp_path / "ideal.txt"
@@ -625,7 +684,8 @@ def counting(log, fn):
 class TestTracedBindings:
     """The benchmark's tracer rebinds pipeline.rates_primed and pipeline.write_table
     and reads .alpha and .eta from the argument of rates_primed: the pipeline calls
-    both through its module globals, once per grid point and once per table."""
+    both through its module globals, once per grid point and once per table. It
+    rebinds the layers of tomo as well, and needs a span of each."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -648,9 +708,17 @@ class TestTracedBindings:
             "sweep.csv", "sweep_fig2.csv", "sweep_fig1b.csv"
         ]
 
-    def test_tomo(self, tmp_path, calls):
+    def test_tomo(self, tmp_path, calls, monkeypatch):
+        # the tracer also rebinds these, and reads a span for each: the metrics and
+        # the tangle once per batch through the states module's globals, the reading
+        # and the fit once per file, the report once per file
+        traced = {"compute_metrics": states, "tangle": states, "read_counts": tomography,
+                  "mle_reconstruct": tomography, "write_report": pipeline}
+        for name, module in traced.items():
+            calls[name] = []
+            monkeypatch.setattr(module, name, counting(calls[name], getattr(module, name)))
         probs = tomography.expected_probabilities(states.werner(0.3))
-        files = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        files = [tmp_path / f"{name}.txt" for name in "abc"]
         for path in files:
             pipeline.write_counts(probs * 1e6, path)
         pipeline.run_tomo(files, tmp_path / "out")
@@ -659,6 +727,13 @@ class TestTracedBindings:
             "summary.csv"
         ]
         assert calls["rates_primed"] == []
+        for name in ("compute_metrics", "tangle"):
+            rows = [np.asarray(args[0]).reshape(-1, 4, 4) for args, _ in calls[name]]
+            assert len(rows) == 1 and sum(map(len, rows)) == len(files)
+        assert [args[0] for args, _ in calls["read_counts"]] == files
+        assert len(calls["mle_reconstruct"]) == len(files)
+        assert [os.path.basename(args[1]) for args, _ in calls["write_report"]] == [
+            "a_report.txt", "b_report.txt", "c_report.txt"]
 
 
 class TestMetricsCommand:
@@ -690,7 +765,8 @@ class TestMetricsCommand:
 
 class TestOneValidation:
     """Each state passes states.validate once; it is counted through the
-    module attribute that compute_metrics reaches it by."""
+    module attribute that compute_metrics reaches it by, one entry per state
+    checked, as a stack is checked in one call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -698,22 +774,37 @@ class TestOneValidation:
         validate = states.validate
 
         def counted(rho):
-            calls.append(rho)
+            calls.extend(np.asarray(rho, dtype=complex).reshape(-1, 4, 4))
             return validate(rho)
 
         monkeypatch.setattr(states, "validate", counted)
         return calls
 
     @pytest.mark.parametrize("certified", [True, False], ids=["certified-start", "barrier-fit"])
-    def test_analyze_counts(self, calls, certified):
+    def test_run_tomo_fit(self, calls, certified, tmp_path):
         if certified:
-            cv = tomography.simulate_counts(states.werner(0.1), 1e5, seed=4)
+            counts = tomography.simulate_counts(states.werner(0.1), 1e5, seed=4).counts
         else:
-            cv = tomography.CountVector(BOUNDARY_FILES[0])
-        record = pipeline.analyze_counts(cv, "w")
+            counts = BOUNDARY_FILES[0]
+        path = tmp_path / "w.txt"
+        pipeline.write_counts(counts, path)
+        (record,), errors = pipeline.run_tomo([str(path)], tmp_path / "out")
+        assert errors == []
         assert (record.optimizer_evals == 1) == certified
         assert len(calls) == 1
         assert record.metrics.min_eigenvalue == states.validate(record.rho)
+
+    def test_run_tomo_batch(self, calls, tmp_path):
+        files = []
+        for i, g in enumerate((0.1, 0.3, 0.6)):
+            files.append(tmp_path / f"w{i}.txt")
+            pipeline.write_counts(tomography.simulate_counts(states.werner(g), 1e5, seed=i).counts,
+                                  files[-1])
+        records, errors = pipeline.run_tomo(files, tmp_path / "out")
+        assert errors == [] and len(records) == 3
+        assert len(calls) == 3
+        for record in records:
+            assert record.metrics.min_eigenvalue == states.validate(record.rho)
 
     def test_run_tomo_summary_reads_it(self, calls, tmp_path):
         probs = tomography.expected_probabilities(states.werner(0.3))

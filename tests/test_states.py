@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import states_oracles as so
-from biphoton import states
+from biphoton import states, tomography
 from biphoton.errors import ParseError, ValidationError
+from test_tomography import BOUNDARY_FILES
 
 G_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -285,6 +286,90 @@ class TestComputeMetrics:
             states.compute_metrics(rho)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("invalid density matrix: ")
+
+
+def _off_diagonal_nan(rho):
+    rho = rho.copy()
+    rho[0, 1] = np.nan
+    return rho
+
+
+# rows compute_metrics rejects, made from a valid state but for the negative one
+BAD_ROWS = {
+    "non-finite": _off_diagonal_nan,
+    "hermiticity": lambda rho: rho + 1e-9j * np.diag([1, 0, 0, 0]),
+    "trace": lambda rho: (1 + 1e-9) * rho,
+    "positivity": lambda rho: np.diag([0.6, 0.5, -0.1, 0.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def boundary_fits():
+    return [tomography.mle_reconstruct(tomography.CountVector(c))[0] for c in BOUNDARY_FILES]
+
+
+GOOD_ROWS = st.one_of(
+    st.tuples(st.just("random"), st.integers(0, 2**32 - 1), st.integers(1, 4)),
+    st.tuples(st.just("werner"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("boundary"), st.integers(0, len(BOUNDARY_FILES) - 1)),
+)
+
+
+class TestStackedMetrics:
+    """compute_metrics of an (n, 4, 4) stack: each row as compute_metrics_numpy_calls
+    gives it, bit for bit, or the ValidationError of its lone call, whatever the
+    other rows hold."""
+
+    @staticmethod
+    def good_row(spec, boundary_fits):
+        kind, *args = spec
+        if kind == "random":
+            seed, rank = args
+            return random_state(np.random.default_rng(seed), rank)
+        if kind == "werner":
+            return states.werner(args[0])
+        return boundary_fits[args[0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(GOOD_ROWS, st.sampled_from([None, *BAD_ROWS])),
+                         min_size=1, max_size=20))
+    def test_rows_are_isolated_and_bit_exact(self, boundary_fits, rows):
+        stack = np.array([self.good_row(spec, boundary_fits) if bad is None
+                          else BAD_ROWS[bad](self.good_row(spec, boundary_fits))
+                          for spec, bad in rows])
+        entries = states.compute_metrics(stack)
+        assert len(entries) == len(stack)
+        good = []
+        for (_, bad), rho, entry in zip(rows, stack, entries):
+            if bad is None:
+                assert repr(entry) == repr(so.compute_metrics_numpy_calls(rho))
+                good.append(entry)
+                continue
+            with pytest.raises(ValidationError) as lone:
+                states.compute_metrics(rho)
+            assert type(entry) is ValidationError and str(entry) == str(lone.value)
+            assert str(entry).startswith(f"invalid density matrix: {bad}")
+        rhos = stack[[bad is None for _, bad in rows]]
+        assert states.tangle(rhos) == [m.tangle for m in good]
+        assert [c * c for c in states.concurrence(rhos)] == [m.tangle for m in good]
+
+    def test_a_state_is_the_one_row_stack(self):
+        rho = states.werner(0.3)
+        assert states.compute_metrics(rho[None]) == [states.compute_metrics(rho)]
+        for fn in (states.validate, states.tangle, states.concurrence, states.purity,
+                   states.werner_fit):
+            assert fn(rho[None]) == [fn(rho)]
+        bad = 0.9 * rho
+        with pytest.raises(ValidationError) as lone:
+            states.validate(bad)
+        (entry,) = states.validate(bad[None])
+        assert str(entry) == str(lone.value)
+        assert states.compute_metrics(np.empty((0, 4, 4))) == []
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 3), (1, 1, 4, 4)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="4x4"):
+            states.compute_metrics(np.zeros(shape))
 
 
 class TestValidate:
