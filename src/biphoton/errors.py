@@ -1,8 +1,13 @@
 """Exception types shared across the package, and the file text that every
 reader and writer shares: read_text and write_text, the only places the package
-opens a file, and data_lines for the line ends and the comment rule."""
+opens a file, and data_lines for the line ends and the comment rule.
+
+write_text writes each output over the old file, then cuts it to length, so an
+existing file keeps its inode, mode and links. A write is not atomic: a reader
+may see it part-way, and a failed write leaves only the new bytes it wrote."""
 
 import codecs
+import os
 
 
 class BiphotonError(Exception):
@@ -61,10 +66,33 @@ def read_text(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {offset})") from exc
 
 
+# open(path, "wb") less O_TRUNC: os.open adds close-on-exec, and 0o666 less the
+# umask is the mode of a new file
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def write_text(path, text):
-    """Write text to path as its UTF-8 bytes, so each '\\n' stays '\\n' on every platform."""
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+    """Write text to path as its UTF-8 bytes, so each '\\n' stays '\\n' on every platform.
+
+    The bytes go over the old file, which is then cut to their length if it was
+    longer: a truncate to zero first costs more than the write on ext4, as the
+    close after it starts writeback. An existing file keeps its inode, mode and
+    links, and a new one gets the mode of open(path, "w"). A write is not
+    atomic, and one that fails part-way cuts the file at the new bytes it wrote
+    before it raises, so old bytes never follow new ones."""
+    data = text.encode("utf-8")
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            # a char device such as /dev/null has size 0, and ftruncate fails on it
+            if os.fstat(fd).st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def data_lines(text):

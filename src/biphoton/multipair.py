@@ -273,10 +273,15 @@ def background_g(signal_coeff, background_coeff, power):
     power squared, so the ratio b*P^2 / (s*P^2 + b*P^2) cancels to
     b/(s+b): identical at every excitation power.
     """
-    if signal_coeff < 0 or background_coeff < 0:
-        raise ValueError("coefficients must be >= 0")
-    if signal_coeff + background_coeff == 0:
+    if not (0 <= signal_coeff < math.inf and 0 <= background_coeff < math.inf):
+        raise ValueError(f"coefficients ({signal_coeff}, {background_coeff}) must be "
+                         "finite and >= 0")
+    total = signal_coeff + background_coeff
+    if total == 0:
         raise DegenerateInputError("signal and background coefficients both zero")
-    if power <= 0:
-        raise ValueError(f"power={power} must be positive")
-    return background_coeff / (signal_coeff + background_coeff)
+    if not 0 < power < math.inf:
+        raise ValueError(f"power={power} must be positive and finite")
+    if total == math.inf:
+        # halving is exact for coefficients this large, and keeps their sum finite
+        return (background_coeff / 2) / (signal_coeff / 2 + background_coeff / 2)
+    return background_coeff / total

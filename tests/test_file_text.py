@@ -3,6 +3,7 @@ errors.write_text, and run_tomo's string paths, each against the text-mode
 open and the pathlib code it replaced, kept here as the oracles."""
 
 import codecs
+import errno
 import os
 import re
 from pathlib import Path
@@ -117,6 +118,141 @@ def test_write_text_is_the_text_mode_write(scratch, text):
     with open(scratch, "w", encoding="utf-8") as fh:
         fh.write(text)
     assert written == scratch.read_bytes()
+
+
+@st.composite
+def sized_text(draw, size):
+    """Text whose UTF-8 bytes number exactly size: drawn text cut to at most size
+    bytes at a character boundary, then padded with ASCII."""
+    text = draw(st.text(max_size=size))
+    while len(text.encode("utf-8")) > size:
+        text = text[:-1]
+    return text + "x" * (size - len(text.encode("utf-8")))
+
+
+LENGTHS = {"shorter": lambda n: st.integers(0, n - 1), "same": st.just,
+           "longer": lambda n: st.integers(n + 1, 2 * n + 8)}
+
+
+class TestWriteText:
+    """write_text writes over the old file and cuts it to length: the oracles are
+    the bytes a truncating open(path, "wb") leaves, and its mode and errors."""
+
+    @pytest.mark.parametrize("relation", LENGTHS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_rewrite_holds_only_its_bytes(self, scratch, relation, data):
+        first = data.draw(st.text(min_size=1))
+        size = data.draw(LENGTHS[relation](len(first.encode("utf-8"))))
+        second = data.draw(sized_text(size))
+        write_text(scratch, first)
+        write_text(scratch, second)
+        assert scratch.read_bytes() == second.encode("utf-8")
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_a_failed_write_leaves_the_bytes_it_wrote(self, tmp_path, monkeypatch, k):
+        # old bytes never follow new ones: the file is cut at the k written
+        path = tmp_path / "out.txt"
+        write_text(path, "old," * 20)
+        real_write = os.write
+        calls = []
+
+        def write(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1 or not k:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[:k])
+
+        monkeypatch.setattr(os, "write", write)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_text(path, "new," * 10)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"new,new,"[:k]
+
+    def test_short_writes_continue_where_they_stopped(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+        write_text(path, "0123456789\n")
+        assert path.read_bytes() == b"0123456789\n"
+
+    def test_the_file_is_not_inherited(self, tmp_path, monkeypatch):
+        real_write = os.write
+        inheritable = []
+
+        def write(fd, data):
+            inheritable.append(os.get_inheritable(fd))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        write_text(tmp_path / "out.txt", "text")
+        assert inheritable == [False]
+
+    def test_an_unencodable_name_fails_as_open_does(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        name = "\ud800.txt"  # no surrogate escape of a byte: UTF-8 cannot encode it
+        outcomes = []
+        for write in (lambda: open(name, "wb").close(), lambda: write_text(name, "x")):
+            try:
+                write()
+            except (UnicodeEncodeError, ValueError) as exc:
+                outcomes.append(repr(exc))
+            else:
+                outcomes.append(sorted(os.listdir()))
+        assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="inodes, links, modes and /dev/null")
+class TestWriteTextPosix:
+    def test_an_existing_file_keeps_its_inode_and_mode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, "old text, longer than the new\n")
+        path.chmod(0o640)
+        before = path.stat()
+        write_text(path, "new\n")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_bytes() == b"new\n"
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.txt"
+        write_text(target, "old text\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        write_text(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+
+    def test_a_hard_link_sees_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, "old text\n")
+        other = tmp_path / "other.txt"
+        os.link(path, other)
+        write_text(path, "new\n")
+        assert other.read_bytes() == b"new\n"
+
+    @pytest.mark.parametrize("umask", [0o000, 0o022, 0o077])
+    def test_a_new_file_gets_the_text_mode_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_text(tmp_path / "new.txt", "text")
+            with open(tmp_path / "oracle.txt", "w", encoding="utf-8") as fh:
+                fh.write("text")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "oracle.txt").stat().st_mode
+
+    def test_dev_null_accepts_a_write(self):
+        # a char device: ftruncate fails there with EINVAL
+        write_text(os.devnull, "text\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_dev_full_raises_its_write_error(self):
+        # a char device that fails every write: the error is the write's, as for
+        # open(path, "wb"), not an EINVAL from cutting a device to length
+        with pytest.raises(OSError) as raised:
+            write_text("/dev/full", "text\n")
+        assert raised.value.errno == errno.ENOSPC
 
 
 NAMES = ["a.", "a..", "..x", ".hidden", "a.tar.gz", "./a.txt", "a//b.txt", "x/", "x/.",

@@ -416,6 +416,25 @@ class TestPowerCurveAndBackground:
         with pytest.raises(DegenerateInputError):
             mp.background_g(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("args, match", [
+        ((math.nan, 1.0, 1.0), "coefficients"),
+        ((1.0, math.inf, 2.0), "coefficients"),
+        ((math.inf, 1.0, 1.0), "coefficients"),
+        ((-1.0, 1.0, 1.0), "coefficients"),
+        ((1.0, 1.0, math.nan), "power"),
+        ((1.0, 1.0, math.inf), "power"),
+        ((1.0, 1.0, 0.0), "power"),
+    ])
+    def test_background_rejects_bad_inputs(self, args, match):
+        # a NaN or infinity fails no '< 0' or '<= 0' check, and gave nan, 0.0 or 0.5
+        with pytest.raises(ValueError, match=match):
+            mp.background_g(*args)
+
+    def test_background_coefficients_whose_sum_overflows(self):
+        # b / (s + b) read 0.0 once s + b rounded to infinity
+        assert mp.background_g(1e308, 1e308, 1.0) == 0.5
+        assert mp.background_g(1.5e308, 0.5e308, 1.0) == 0.25
+
 
 # --- the 16 settings from independent Phi+ pairs ------------------------------
 

@@ -653,6 +653,43 @@ class TestSweepTableText:
         assert_sweep_tables_match_per_cell(cfg, directory)
 
 
+class TestRerun:
+    """A second run into the outputs of a larger first run writes over them: each
+    file it writes is, byte for byte, that of a run into a fresh directory."""
+
+    def test_sweep(self, tmp_path):
+        big = pipeline.load_config(readme_config_file(tmp_path / "run.cfg"))
+        small = grid_config(tmp_path / "small.cfg", ["0.5", "0.7"], ["3", "30"])
+        (tmp_path / "out").mkdir()
+        (tmp_path / "fresh").mkdir()
+        pipeline.run_sweep(big, tmp_path / "out" / "sweep.csv")
+        old = {s: read_table(tmp_path / "out" / f"sweep{s}.csv")[1] for s in SWEEP_SUFFIXES}
+        pipeline.run_sweep(small, tmp_path / "out" / "sweep.csv")
+        pipeline.run_sweep(small, tmp_path / "fresh" / "sweep.csv")
+        for suffix in SWEEP_SUFFIXES:
+            name = f"sweep{suffix}.csv"
+            new = (tmp_path / "out" / name).read_bytes()
+            assert new == (tmp_path / "fresh" / name).read_bytes()
+            # the etas differ, so only the _fig2 reference curve repeats a row
+            _, rows = read_table(tmp_path / "out" / name)
+            kept = [row for row in rows if row in old[suffix]]
+            assert kept == [row for row in rows if row[0] == "curve"]
+            assert len(rows) < len(old[suffix])
+
+    def test_tomo(self, tmp_path):
+        cfg = pipeline.load_config(readme_config_file(tmp_path / "run.cfg"))
+        files = [str(p) for p in pipeline.run_simulate(cfg, tmp_path / "counts")]
+        pipeline.run_tomo(files, tmp_path / "out")
+        pipeline.run_tomo(files[2:], tmp_path / "out")
+        pipeline.run_tomo(files[2:], tmp_path / "fresh")
+        _, rows = read_table(tmp_path / "out" / "summary.csv")
+        assert [row[0] for row in rows] == ["counts_002", "counts_003"]
+        written = ["summary.csv", "counts_002_report.txt", "counts_003_report.txt"]
+        for name in written:
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "fresh" / name).read_bytes()
+
+
 class TestSweepRowsAndText:
     """run_sweep's returned rows are exactly the numbers its sweep.csv holds."""
 
