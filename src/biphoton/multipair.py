@@ -258,8 +258,8 @@ def g_vs_power_curve(cal, p_template, powers):
     """(power, g) pairs for mu = pairs_per_power * power along a power grid."""
     out = []
     for power in powers:
-        if power <= 0:
-            raise ValueError(f"power={power} must be positive")
+        if not 0 < power < math.inf:
+            raise ValueError(f"power={power} must be positive and finite")
         mu = cal.pairs_per_power * power
         rates = rates_primed(SourceParams(mu, p_template.alpha, p_template.eta))
         out.append((float(power), effective_g(rates)))

@@ -355,9 +355,10 @@ def run_sweep(cfg, out_path):
                          f"{r_hr!r},{g_text},{tangle_text},{entropy_text},{fidelity_text}")
             fig2_lines.append(f"model,{g_text},{entropy_text},{tangle_text}")
             fig1b_lines.append(f"{power_text},{eta_text},{fidelity_text},{references}")
-    out_path = Path(out_path)
     meta = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.config_hash}
+    # out_path as given, before Path drops a trailing separator: "dir/" fails here
     write_table(out_path, SWEEP_HEADER, lines, meta)
+    out_path = Path(out_path)
     fig2_path = out_path.with_name(out_path.stem + "_fig2" + out_path.suffix)
     write_table(fig2_path, ["kind", "g", "linear_entropy", "tangle"], fig2_lines, meta)
     fig1b_path = out_path.with_name(out_path.stem + "_fig1b" + out_path.suffix)

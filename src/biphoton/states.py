@@ -4,6 +4,11 @@ The fixed basis order is |HH>, |HV>, |VH>, |VV> everywhere in this package.
 States are plain 4x4 complex numpy arrays; pure states are length-4 complex
 vectors in the same basis. StateMetrics and werner_metrics are defined in
 the numpy-free multipair module and re-exported here.
+
+validate, the metric functions (purity, linear_entropy, concurrence, tangle,
+werner_fit) and compute_metrics take a 4x4 state or an (n, 4, 4) stack: a
+state gives its one value, a stack a list of n, each equal bit for bit to
+its row's value. fidelity and format_density_matrix take one 4x4 state.
 """
 
 import numpy as np
@@ -131,27 +136,16 @@ def fidelity(rho, psi):
     return _real_overlap(val)
 
 
-def _purities(stack):
-    return (stack @ stack).trace(axis1=1, axis2=2).real.tolist()
-
-
 def purity(rho):
-    """Tr(rho^2), in [1/4, 1] for a valid two-qubit state; a list of n for an
-    (n, 4, 4) stack."""
+    """Tr(rho^2), in [1/4, 1] for a valid two-qubit state."""
     rho, stack = _stack(rho)
-    return _unstack(rho, _purities(stack))
+    return _unstack(rho, (stack @ stack).trace(axis1=1, axis2=2).real.tolist())
 
 
 def linear_entropy(rho):
     """Normalized mixedness (4/3)(1 - Tr rho^2): 0 pure, 1 maximally mixed."""
-    return (4.0 / 3.0) * (1.0 - purity(rho))
-
-
-def _concurrences(stack):
-    w, v = np.linalg.eigh(stack)
-    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
-    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False).tolist()
-    return [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam]
+    rho, stack = _stack(rho)
+    return _unstack(rho, [(4.0 / 3.0) * (1.0 - pur) for pur in purity(stack)])
 
 
 def concurrence(rho):
@@ -162,26 +156,19 @@ def concurrence(rho):
     A = sqrt(rho) (sy x sy) sqrt(rho)*, since A A^dag is the Hermitian form
     sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho). Singular values carry an
     absolute error of about eps, where square roots of round-off
-    eigenvalues would carry sqrt(eps). A 4x4 state gives a float; an
-    (n, 4, 4) stack gives a list of n, from one eigh and one svd call.
+    eigenvalues would carry sqrt(eps). A stack takes one eigh and one svd call.
     """
     rho, stack = _stack(rho)
-    return _unstack(rho, _concurrences(stack))
+    w, v = np.linalg.eigh(stack)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False).tolist()
+    return _unstack(rho, [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lam])
 
 
 def tangle(rho):
-    """Square of the concurrence: a float for a 4x4 state, a list of n for an
-    (n, 4, 4) stack."""
+    """Square of the concurrence."""
     rho, stack = _stack(rho)
-    return _unstack(rho, [c * c for c in _concurrences(stack)])
-
-
-def _werner_gs(stack):
-    d = (stack - _IDEAL).real
-    # Tr D as numpy sums it; D00 + D03 + D30 + D33 from left to right
-    return [min(max((trace - 2 * (d00 + d03 + d30 + d33)) / 3, 0.0), 1.0)
-            for trace, ((d00, d03), (d30, d33))
-            in zip(d.trace(axis1=1, axis2=2).tolist(), d[:, ::3, ::3].tolist())]
+    return _unstack(rho, [c * c for c in concurrence(stack)])
 
 
 def werner_fit(rho):
@@ -192,10 +179,13 @@ def werner_fit(rho):
     Tr((I/4 - P)(rho - P)) / Tr((I/4 - P)^2) for the ideal projector P,
     which is (Tr D - 2 (D00 + D03 + D30 + D33)) / 3 for D = Re(rho - P),
     clamped to [0, 1]. Forming rho - P first keeps g exactly 0 at rho = P.
-    An (n, 4, 4) stack gives a list of n.
     """
     rho, stack = _stack(rho)
-    return _unstack(rho, _werner_gs(stack))
+    d = (stack - _IDEAL).real
+    # Tr D as numpy sums it; D00 + D03 + D30 + D33 from left to right
+    traces, corners = d.trace(axis1=1, axis2=2).tolist(), d[:, ::3, ::3].tolist()
+    return _unstack(rho, [min(max((trace - 2 * (d00 + d03 + d30 + d33)) / 3, 0.0), 1.0)
+                          for trace, ((d00, d03), (d30, d33)) in zip(traces, corners)])
 
 
 def compute_metrics(rho):
@@ -205,15 +195,15 @@ def compute_metrics(rho):
     Raises ValidationError, as validate does, if rho is not a density matrix.
     An (n, 4, 4) stack takes one call of each numpy routine and gives n
     entries: each row's StateMetrics, or the ValidationError compute_metrics
-    raises for that row alone. validate and tangle are called through this
-    module's globals, once per call, with the stack.
+    raises for that row alone. validate, purity, tangle and werner_fit are
+    called through this module's globals, once per call, with the stack.
     """
     rho, stack = _stack(rho)
     entries = validate(stack)
     rows = [i for i, entry in enumerate(entries) if not isinstance(entry, ValidationError)]
     good = stack if len(rows) == len(stack) else stack[rows]
-    for i, pur, overlap, tan, g in zip(rows, _purities(good), _overlaps(good, _BELL_BRA, _BELL_KET),
-                                       tangle(good), _werner_gs(good)):
+    for i, pur, overlap, tan, g in zip(rows, purity(good), _overlaps(good, _BELL_BRA, _BELL_KET),
+                                       tangle(good), werner_fit(good)):
         try:
             fid = _real_overlap(overlap)
         except ValidationError as exc:

@@ -409,6 +409,14 @@ class TestPowerCurveAndBackground:
             with pytest.raises(ValueError, match="positive and finite"):
                 build()
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_curve_rejects_bad_power(self, power):
+        # a NaN or infinite power failed no '<= 0' check, and raised naming mu
+        cal = mp.PowerCalibration(pairs_per_power=0.01)
+        template = SourceParams(mu=0.1, alpha=0.005, eta=1.0)
+        with pytest.raises(ValueError, match="power="):
+            mp.g_vs_power_curve(cal, template, [1.0, power])
+
     def test_background_examples(self):
         assert mp.background_g(1.0, 0.0, 10.0) == 0.0
         assert mp.background_g(2.0, 2.0, 3.0) == 0.5

@@ -983,6 +983,16 @@ class TestCli:
         _, rows = read_table(tmp_path / "sweep.csv")
         assert len(rows) == 2 * 2
 
+    def test_sweep_out_ending_in_a_separator(self, tmp_path, capsys, monkeypatch):
+        # Path("out/") is Path("out"): the tables went to out, out_fig2 and out_fig1b
+        cfg_path = write_config(tmp_path / "run.cfg", "sweep.eta_list=0.03\nsweep.power_grid=10\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", "out" + os.sep]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert list(work.iterdir()) == []
+
     def test_tomo_reports_corrupt_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("HH;1\n")

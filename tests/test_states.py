@@ -372,6 +372,20 @@ class TestStackedMetrics:
             states.compute_metrics(np.zeros(shape))
 
 
+class TestStateOrStack:
+    """Each function that takes a 4x4 state or an (n, 4, 4) stack gives for the
+    stack the list of its rows' values, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(specs=st.lists(GOOD_ROWS, max_size=6))
+    def test_a_stack_is_its_rows(self, boundary_fits, specs):
+        stack = np.array([TestStackedMetrics.good_row(spec, boundary_fits) for spec in specs],
+                         dtype=complex).reshape(-1, 4, 4)
+        for fn in (states.validate, states.purity, states.linear_entropy, states.concurrence,
+                   states.tangle, states.werner_fit, states.compute_metrics):
+            assert repr(fn(stack)) == repr([fn(row) for row in stack]), fn.__name__
+
+
 class TestValidate:
     def test_pass(self):
         states.validate(states.ideal_bell())
